@@ -24,7 +24,7 @@ resource waste, energy, accuracy loss).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.buffers import PriorityBuffers
 from repro.core.dropper import DropPlan, TaskDropper
@@ -277,32 +277,33 @@ class DiASSimulation:
         """Jobs completed so far (drives sampler-termination predicates)."""
         return self._completed
 
-    def telemetry_sample(self) -> Dict[str, float]:
-        """Read-only state snapshot published by periodic telemetry samplers.
+    def telemetry_sample(self, now: Optional[float] = None) -> Dict[str, float]:
+        """Read-only state snapshot at ``now`` (default: the kernel clock).
 
-        Must not mutate anything (notably: it reads the energy meter via
-        :meth:`~repro.engine.energy.EnergyMeter.snapshot`, never ``advance``)
-        so that sampled runs produce bit-identical results to unsampled ones.
+        Must not mutate anything (notably: it projects the energy meter and
+        never advances it) so that sampled runs produce bit-identical
+        results to unsampled ones.
         """
-        # This runs once per sampler tick on every sampled run, so it avoids
+        return self.telemetry_stretch(self.sim.now if now is None else now)[0]
+
+    def telemetry_stretch(
+        self, now: float
+    ) -> Tuple[Dict[str, float], Callable[[Dict[str, float], float], None]]:
+        """The snapshot at ``now`` plus ``fill(sample, t)`` for later times.
+
+        ``fill`` rewrites the fields that move with time -- utilisation, work
+        left (:meth:`work_left`, inlined) and energy -- in a copy of the
+        snapshot for any ``t >= now``, valid until an event changes the
+        state.  Batched sampler ticks read the state once per stretch.
+        """
+        # Runs once per sampler callback on every sampled run, so it avoids
         # avoidable Python frames: one depth pass doubles as the total queue
-        # depth, :meth:`work_left` is inlined, field names are interned once
-        # per priority, and integer counters stay integers (the schema admits
-        # any number).
-        now = self.sim.now
+        # depth, field names are interned once per priority, and integer
+        # counters stay integers (the schema admits any number).
         running = self._running
-        busy = self.metrics.busy_time + self.metrics.wasted_time
-        work_left = self._queued_work
-        if running is not None:
-            busy += max(0.0, now - self._running_started_at)
-            work_left += max(
-                0.0, self._running_estimate - (now - self._running_started_at)
-            )
         sample: Dict[str, float] = {
-            "utilisation": (busy / now) if now > 0 else 0.0,
             "queue_depth": 0,
             "running": 1.0 if running is not None else 0.0,
-            "work_left": work_left,
             "completed_jobs": self._completed,
             "evictions": self._total_evictions,
         }
@@ -316,20 +317,40 @@ class DiASSimulation:
             sample[key] = depth
         sample["queue_depth"] = total_depth
         meter = self.energy_meter
-        sample["energy_joules"] = meter.projected_joules(now)
         sample["power_mode"] = meter._mode
-        return sample
+        busy = self.metrics.busy_time + self.metrics.wasted_time
+        queued = self._queued_work
+        started = self._running_started_at if running is not None else None
+        estimate = self._running_estimate
+        # EnergyMeter.projected_joules, term for term.
+        joules = meter.account.total_joules
+        last = meter._last_time
+        watts = meter.power_model.power(meter._mode)
 
-    def work_left(self) -> float:
+        def fill(sample: Dict[str, float], t: float) -> None:
+            if started is None:
+                sample["utilisation"] = (busy / t) if t > 0 else 0.0
+                sample["work_left"] = queued
+            else:
+                ran = max(0.0, t - started)
+                sample["utilisation"] = ((busy + ran) / t) if t > 0 else 0.0
+                sample["work_left"] = queued + max(0.0, estimate - (t - started))
+            sample["energy_joules"] = joules + max(0.0, t - last) * watts
+
+        fill(sample, now)
+        return sample, fill
+
+    def work_left(self, now: Optional[float] = None) -> float:
         """Estimated slot-seconds of service remaining (buffered + running).
 
         Buffered jobs count their wave-approximation service time under the
         policy's drop ratio; the running job counts its estimate minus the
-        time it has already been executing.  Used by least-work-left routing.
+        time it has already been executing at ``now`` (default: the kernel
+        clock).  Used by least-work-left routing.
         """
         remaining = self._queued_work
         if self._running is not None:
-            elapsed = self.sim.now - self._running_started_at
+            elapsed = (self.sim.now if now is None else now) - self._running_started_at
             remaining += max(0.0, self._running_estimate - elapsed)
         return remaining
 
@@ -394,13 +415,14 @@ class DiASSimulation:
             )
             if telemetry.sample_interval is not None:
                 total = len(self.jobs)
+                kernel = kernel_sample_source(self.sim)
                 sampler = PeriodicSampler(
                     self.sim,
                     telemetry,
                     telemetry.sample_interval,
                     sources=[
-                        (self.telemetry_src, self.telemetry_sample),
-                        ("kernel", kernel_sample_source(self.sim)),
+                        (self.telemetry_src, self.telemetry_sample, self.telemetry_stretch),
+                        ("kernel", kernel, kernel.stretch),
                     ],
                     should_continue=lambda: self._completed < total,
                 )

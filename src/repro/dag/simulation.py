@@ -18,7 +18,7 @@ concentrates on off-critical-path stages at the same overall accuracy cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.buffers import PriorityBuffers
 from repro.core.dias import SimulationResult, _dropped_task_seconds
@@ -211,17 +211,21 @@ class DagSimulation:
     def completed_jobs(self) -> int:
         return self._completed
 
-    def telemetry_sample(self) -> Dict[str, float]:
-        """Read-only snapshot for periodic samplers (no state mutation)."""
-        # Mirrors DiASSimulation.telemetry_sample's frame-lean shape: one
-        # depth pass, interned field names, integer counters left as ints.
-        now = self.sim.now
+    def telemetry_sample(self, now: Optional[float] = None) -> Dict[str, float]:
+        """Read-only snapshot at ``now`` for periodic samplers (no state mutation)."""
+        return self.telemetry_stretch(self.sim.now if now is None else now)[0]
+
+    def telemetry_stretch(
+        self, now: float
+    ) -> Tuple[Dict[str, float], Callable[[Dict[str, float], float], None]]:
+        """The snapshot at ``now`` plus ``fill(sample, t)`` for later times.
+
+        Mirrors :meth:`DiASSimulation.telemetry_stretch`: one depth pass,
+        interned field names, integer counters left as ints; ``fill``
+        rewrites utilisation and energy, the fields that move with time.
+        """
         running = self._running
-        busy = self.metrics.busy_time + self.metrics.wasted_time
-        if running is not None and running.start_time is not None:
-            busy += max(0.0, now - running.start_time)
         sample: Dict[str, float] = {
-            "utilisation": (busy / now) if now > 0 else 0.0,
             "queue_depth": 0,
             "running": 1.0 if running is not None else 0.0,
             "completed_jobs": self._completed,
@@ -237,9 +241,21 @@ class DagSimulation:
             sample[key] = depth
         sample["queue_depth"] = total_depth
         meter = self.energy_meter
-        sample["energy_joules"] = meter.projected_joules(now)
         sample["power_mode"] = meter._mode
-        return sample
+        busy = self.metrics.busy_time + self.metrics.wasted_time
+        started = running.start_time if running is not None else None
+        # EnergyMeter.projected_joules, term for term.
+        joules = meter.account.total_joules
+        last = meter._last_time
+        watts = meter.power_model.power(meter._mode)
+
+        def fill(sample: Dict[str, float], t: float) -> None:
+            total = busy if started is None else busy + max(0.0, t - started)
+            sample["utilisation"] = (total / t) if t > 0 else 0.0
+            sample["energy_joules"] = joules + max(0.0, t - last) * watts
+
+        fill(sample, now)
+        return sample, fill
 
     # --------------------------------------------------------------- running
     def run(self, until: Optional[float] = None) -> DagSimulationResult:
@@ -264,13 +280,14 @@ class DagSimulation:
                 scheduler=self.scheduler_name,
             )
             if telemetry.sample_interval is not None:
+                kernel = kernel_sample_source(self.sim)
                 sampler = PeriodicSampler(
                     self.sim,
                     telemetry,
                     telemetry.sample_interval,
                     sources=[
-                        (self.telemetry_src, self.telemetry_sample),
-                        ("kernel", kernel_sample_source(self.sim)),
+                        (self.telemetry_src, self.telemetry_sample, self.telemetry_stretch),
+                        ("kernel", kernel, kernel.stretch),
                     ],
                     should_continue=lambda: not self._drained(),
                 )

@@ -104,9 +104,9 @@ class EnergyMeter:
     def projected_joules(self, now: float) -> float:
         """Total joules as of ``now`` without advancing the meter.
 
-        The scalar core of :meth:`snapshot`, exposed separately so per-tick
-        telemetry samplers can fill their event dict directly instead of
-        paying an intermediate dict + update per sample.
+        The scalar core of :meth:`snapshot`.  The controllers'
+        ``telemetry_stretch`` inline the same arithmetic, term for term, so
+        batched sampler ticks read the meter once per stretch.
         """
         pending = max(0.0, now - self._last_time) * self.power_model.power(self._mode)
         return self.account.total_joules + pending

@@ -14,15 +14,27 @@ The execution object supports the two dynamic operations DiAS needs:
   the wall-clock time burned by the attempt is returned so the simulator can
   account resource waste (the job restarts from scratch later, as in the
   paper's SIGKILL-based prototype).
+
+Between two such interrupts the attempt's timeline is a fixed list schedule,
+so by default it is computed in closed form rather than one kernel event per
+task: a local min-heap of slot free times replays the tasks in dispatch order
+with the kernel's own ``now + duration / speed`` arithmetic, and a single
+kernel event fires at the attempt's end (§4.2's ``⌈tasks/slots⌉`` waves are
+the analytic form of the same schedule).  Runs with a fault injector or with
+span tracing keep the event-per-task path, which needs per-task identities
+(slots, retries, speculative copies, task spans).  Both paths produce the
+same completion times bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from heapq import heapify, heappop, heapreplace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.cluster import Cluster
-from repro.engine.job import Job, effective_task_count
+from repro.engine.job import Job, effective_task_count, list_schedule
 from repro.simulation.des import Event, Simulator
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
 
@@ -184,6 +196,16 @@ class JobExecution:
         self._speed_since: Optional[float] = None
         self.sprinted_time = 0.0
 
+        #: Closed-form timeline (no faults, no tracing): the in-flight state
+        #: at the last interrupt as (phase index, min-heap of the running
+        #: tasks' finish times, index of the phase's next pending task), the
+        #: single pending end-of-attempt event, and the kernel's executed-event
+        #: count when the attempt started (identifies the dispatching event).
+        self._closed_form = faults is None and not telemetry.tracing
+        self._segment: Tuple[int, List[float], int] = (0, [], 0)
+        self._end_event: Optional[Event] = None
+        self._start_stamp = -1
+
     # --------------------------------------------------------------- queries
     @property
     def running(self) -> bool:
@@ -199,8 +221,11 @@ class JobExecution:
 
     @property
     def current_phase(self) -> Optional[ExecutionPhase]:
-        if 0 <= self._phase_index < len(self.phases):
-            return self.phases[self._phase_index]
+        index = self._phase_index
+        if self._closed_form and self.running:
+            index = self._state_at(self.sim.now, self._speed, True)[0]
+        if 0 <= index < len(self.phases):
+            return self.phases[index]
         return None
 
     @property
@@ -216,6 +241,14 @@ class JobExecution:
         self.start_time = self.sim.now
         self._speed = float(speed) if speed is not None else self.cluster.speed
         self._speed_since = self.sim.now
+        if self._closed_form:
+            self._start_stamp = self.sim.processed_events
+            self._segment = self._open_phase(0, self.sim.now, self._speed)
+            if self._segment[1]:
+                self._schedule_end()
+            else:
+                self._finish()
+            return
         self._free_slots = (
             list(range(self.cluster.slots))
             if self._faults is None
@@ -238,6 +271,20 @@ class JobExecution:
         self._speed_since = now
         if old_speed == speed:
             return
+        if self._closed_form:
+            # Interrupts fire at priority 2, after every task completion of
+            # their instant (priority 1), so tasks finishing at ``now`` are
+            # done -- except inside the dispatching event itself (a sprint at
+            # dispatch), where no completion has fired yet.
+            in_dispatch = self.sim.processed_events == self._start_stamp
+            index, heap, next_task = self._state_at(now, old_speed, not in_dispatch)
+            # The event-per-task path's rescaling, term for term; the map is
+            # monotone, so the heap stays a heap.
+            heap = [now + max(0.0, f - now) * old_speed / speed for f in heap]
+            self._segment = (index, heap, next_task)
+            self._end_event.cancel()
+            self._schedule_end()
+            return
         for slot, active in list(self._active.items()):
             remaining_wall = max(0.0, active.event.time - now)
             remaining_work = remaining_wall * active.speed
@@ -256,6 +303,11 @@ class JobExecution:
             raise RuntimeError("cannot evict a job execution that is not running")
         now = self.sim.now
         self._accumulate_sprint(now)
+        if self._closed_form:
+            self._end_event.cancel()
+            self._end_event = None
+            self.evicted = True
+            return now - self.start_time
         if self.telemetry.tracing:
             for active in self._active.values():
                 if active.span_id:
@@ -274,6 +326,69 @@ class JobExecution:
             self._retries.clear()
         self.evicted = True
         return now - (self.start_time if self.start_time is not None else now)
+
+    # ------------------------------------------------------ closed-form path
+    def _open_phase(
+        self, index: int, at: float, speed: float
+    ) -> Tuple[int, List[float], int]:
+        """Dispatch the first non-empty phase from ``index`` on at time ``at``.
+
+        Returns the phase's in-flight state; an empty heap means the attempt
+        has no phase left.  A parallel phase fills up to ``C`` slots, a
+        non-parallel one (setup, shuffle) runs its tasks one at a time.
+        """
+        phases = self.phases
+        while index < len(phases):
+            phase = phases[index]
+            durations = phase.durations
+            if durations:
+                width = min(self.cluster.slots, len(durations)) if phase.parallel else 1
+                heap = [at + d / speed for d in durations[:width]]
+                heapify(heap)
+                return index, heap, width
+            index += 1
+        return index, [], 0
+
+    def _schedule_end(self) -> None:
+        """Run the current segment forward and schedule the attempt's end."""
+        index, heap, next_task = self._segment
+        heap = list(heap)
+        speed = self._speed
+        end = self.sim.now
+        while heap:
+            end = max(list_schedule(heap, self.phases[index].durations[next_task:], speed))
+            index, heap, next_task = self._open_phase(index + 1, end, speed)
+        self._end_event = self.sim.schedule_at(end, self._on_end, priority=1)
+
+    def _state_at(
+        self, now: float, speed: float, inclusive: bool
+    ) -> Tuple[int, List[float], int]:
+        """Replay the current segment at ``speed`` up to ``now``.
+
+        Tasks finishing before ``now`` -- or at ``now`` when ``inclusive`` --
+        complete and hand their slot to the phase's next pending task; a
+        drained phase opens the next one at its last finish time.  Returns
+        the in-flight state at ``now`` (the segment itself is not changed).
+        """
+        index, heap, next_task = self._segment
+        heap = list(heap)
+        limit = now if inclusive else math.nextafter(now, -math.inf)
+        durations = self.phases[index].durations
+        while heap and heap[0] <= limit:
+            if next_task < len(durations):
+                heapreplace(heap, heap[0] + durations[next_task] / speed)
+                next_task += 1
+                continue
+            last = heappop(heap)
+            if not heap:
+                index, heap, next_task = self._open_phase(index + 1, last, speed)
+                if heap:
+                    durations = self.phases[index].durations
+        return index, heap, next_task
+
+    def _on_end(self, _sim: Simulator) -> None:
+        self._end_event = None
+        self._finish()
 
     # -------------------------------------------------------------- internals
     def _accumulate_sprint(self, now: float) -> None:

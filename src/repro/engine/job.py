@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from heapq import heapreplace
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -123,15 +124,29 @@ def effective_task_count(task_count: int, drop_ratio: float) -> int:
     return max(0, math.ceil(task_count * (1.0 - drop_ratio)))
 
 
+def list_schedule(
+    free_at: List[float], durations: Iterable[float], speed: float = 1.0
+) -> List[float]:
+    """Greedy list schedule of ``durations`` onto slots, in place.
+
+    ``free_at`` is a min-heap of the slots' free times.  Each task, in
+    order, starts on the earliest-free slot and holds it for
+    ``duration / speed``; the heap then holds the slots' new free times, so
+    ``max(free_at)`` is the makespan.  The finish-time arithmetic
+    (``start + duration / speed``) is the simulation kernel's own
+    ``now + delay``, so the times match an event-by-event run bit for bit.
+    """
+    for duration in durations:
+        heapreplace(free_at, free_at[0] + duration / speed)
+    return free_at
+
+
 def wave_time(durations: Sequence[float], slots: int) -> float:
     """Makespan of ``durations`` scheduled greedily (LPT) on ``slots`` slots."""
     if not durations:
         return 0.0
-    finish = [0.0] * min(slots, len(durations))
-    for duration in sorted(durations, reverse=True):
-        idx = finish.index(min(finish))
-        finish[idx] += duration
-    return max(finish)
+    free_at = [0.0] * min(slots, len(durations))
+    return max(list_schedule(free_at, sorted(durations, reverse=True)))
 
 
 #: Backwards-compatible private alias (the DAG analytics use the public name).

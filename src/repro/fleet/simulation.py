@@ -257,10 +257,12 @@ class FleetSimulation:
             )
             if telemetry.sample_interval is not None:
                 sources = [
-                    (c.telemetry_src, c.telemetry_sample) for c in self.controllers
+                    (c.telemetry_src, c.telemetry_sample, c.telemetry_stretch)
+                    for c in self.controllers
                 ]
                 sources.append(("fleet", self._telemetry_sample))
-                sources.append(("kernel", kernel_sample_source(self.sim)))
+                kernel = kernel_sample_source(self.sim)
+                sources.append(("kernel", kernel, kernel.stretch))
                 sampler = PeriodicSampler(
                     self.sim,
                     telemetry,
@@ -426,11 +428,11 @@ class FleetSimulation:
 
         restore_fleet(self, payload)
 
-    def _telemetry_sample(self) -> dict:
-        """Fleet-level aggregates complementing the per-cluster samples."""
+    def _telemetry_sample(self, now: float) -> dict:
+        """Fleet-level aggregates at ``now`` complementing the per-cluster samples."""
         return {
             "queue_depth": float(sum(c.queue_length for c in self.controllers)),
-            "work_left": sum(c.work_left() for c in self.controllers),
+            "work_left": sum(c.work_left(now) for c in self.controllers),
             "completed_jobs": float(self._completed_jobs()),
             "utilisation": (
                 sum(1.0 for c in self.controllers if c._running is not None)

@@ -17,12 +17,27 @@ so experiments can report the achieved drop ratios.
 from __future__ import annotations
 
 import itertools
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.dropper import find_missing_partitions
+
+
+def partition_hash(key: Any) -> int:
+    """Hash used to place a key in a reduce partition, stable across processes.
+
+    Python salts ``hash(str)`` per process (``PYTHONHASHSEED``), which would
+    make word-count partitions, and therefore which words survive a dropped
+    reduce task, differ between runs of the same seed.  Strings hash by the
+    CRC-32 of their UTF-8 bytes instead; other keys (ints, tuples of ints)
+    already hash the same in every process and keep ``hash``.
+    """
+    if key.__class__ is str:
+        return zlib.crc32(key.encode("utf-8"))
+    return hash(key)
 
 
 @dataclass
@@ -188,7 +203,7 @@ class _ShuffledNode(_Node):
                         f"{type(item).__name__}"
                     )
                 key, value = item
-                bucket = buckets[hash(key) % self._num_partitions]
+                bucket = buckets[partition_hash(key) % self._num_partitions]
                 if self._reducer is None:
                     bucket.setdefault(key, []).append(value)
                 elif key in bucket:

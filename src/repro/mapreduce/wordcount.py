@@ -81,7 +81,9 @@ def wordcount_mape(
     """
     if not exact:
         raise ValueError("exact counts must not be empty")
-    top_words = [w for w, _ in sorted(exact.items(), key=lambda kv: -kv[1])[:top_n]]
+    # Ties in count break by word, so the top-n set never depends on the
+    # insertion order of ``exact``.
+    top_words = [w for w, _ in sorted(exact.items(), key=lambda kv: (-kv[1], kv[0]))[:top_n]]
     return mean_absolute_percentage_error(approximate, exact, top_words)
 
 

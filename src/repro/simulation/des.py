@@ -145,6 +145,7 @@ class Simulator:
         "_compaction_losses",
         "_running",
         "_stopped",
+        "_until",
         "_compactions",
         "_compaction_threshold",
         "_compaction_watermark",
@@ -171,6 +172,7 @@ class Simulator:
         self._compaction_losses = 0
         self._running = False
         self._stopped = False
+        self._until: Optional[float] = None
         self._compactions = 0
         self._compaction_threshold = int(compaction_threshold or 0)
         self._compaction_watermark = _MIN_COMPACTION_WATERMARK
@@ -208,6 +210,42 @@ class Simulator:
     def heap_compactions(self) -> int:
         """Number of times the event heap was rebuilt to drop dead entries."""
         return self._compactions
+
+    @property
+    def horizon(self) -> Optional[float]:
+        """The ``until`` bound of the active :meth:`run` (``None`` if unbounded)."""
+        return self._until
+
+    def next_live_time(self) -> Optional[float]:
+        """Time of the earliest non-cancelled event, or ``None`` if there is none.
+
+        Unlike :meth:`peek_time` this leaves the heap untouched: it walks the
+        cancelled entries at the top of the heap instead of popping them, so
+        read-only observers (samplers) cannot change when entries are
+        discarded or compacted.
+        """
+        heap = self._heap
+        if not heap:
+            return None
+        if not heap[0][3].cancelled:
+            return heap[0][0]
+        best: Optional[float] = None
+        size = len(heap)
+        stack = [0]
+        while stack:
+            index = stack.pop()
+            entry = heap[index]
+            if best is not None and entry[0] >= best:
+                continue  # the subtree cannot hold an earlier event
+            if not entry[3].cancelled:
+                best = entry[0]
+                continue
+            child = 2 * index + 1
+            if child < size:
+                stack.append(child)
+                if child + 1 < size:
+                    stack.append(child + 1)
+        return best
 
     # ------------------------------------------------------------- scheduling
     def schedule(
@@ -295,6 +333,7 @@ class Simulator:
         started_at = self._now
         self._running = True
         self._stopped = False
+        self._until = until
         executed = 0
         # Hot loop: drive the heap directly with local bindings.  ``heap`` may
         # be mutated by callbacks (scheduling and compaction both operate on
@@ -349,6 +388,7 @@ class Simulator:
                     event.callback(self)
         finally:
             self._running = False
+            self._until = None
         if until is not None and self._now < until and not heap:
             self._now = until
         if span_id:

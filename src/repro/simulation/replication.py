@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from scipy import stats
-
 
 def replication_seed(base_seed: int, index: int) -> int:
     """Seed of the ``index``-th replication rooted at ``base_seed``.
@@ -72,6 +70,10 @@ def confidence_interval(
                                   confidence=confidence, replications=1)
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
     std_error = math.sqrt(variance / n)
+    # Imported here: scipy.stats costs about a second to import, and every
+    # CLI call and worker process would pay it for this one quantile.
+    from scipy import stats
+
     t_value = float(stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return ConfidenceInterval(mean=mean, half_width=t_value * std_error,
                               confidence=confidence, replications=n)

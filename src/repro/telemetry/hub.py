@@ -146,6 +146,19 @@ class TelemetryHub:
         for write in self._writes:
             write(event)
 
+    def emit_events(self, events: List[Dict[str, Any]]) -> None:
+        """Publish several pre-built event dicts in order (see :meth:`emit_event`).
+
+        One call per batch of sampler ticks instead of one per sample.
+        """
+        if not self.enabled:
+            return
+        self.events_emitted += len(events)
+        writes = self._writes
+        for event in events:
+            for write in writes:
+                write(event)
+
 
 class _NullTelemetryHub(TelemetryHub):
     """The shared disabled hub; refuses sinks so it can never be enabled.

@@ -2,18 +2,27 @@
 
 A :class:`PeriodicSampler` snapshots one or more *sources* every ``interval``
 simulated seconds and publishes each snapshot as a ``sample`` event.  Sources
-are ``(src_label, callable)`` pairs whose callable returns a flat dict of
-numeric fields; the built-in :func:`kernel_sample_source` exposes the DES
-kernel's counters (processed/pending/scheduled events, heap compactions and
-the event rate per simulated second).
+are ``(src_label, callable)`` pairs whose callable takes the sample time
+``now`` and returns a flat dict of numeric fields (optionally with a third,
+*stretch* element; see :data:`SampleSource`); the built-in
+:func:`kernel_sample_source` exposes the DES kernel's counters
+(processed/pending/scheduled events, heap compactions and the event rate per
+simulated second).
 
-Two properties matter for correctness:
+Properties that matter for correctness:
 
 * **Read-only sampling.**  Source callables must only *read* simulation
   state.  The sampler's own events interleave with the run's events (they
   consume kernel sequence numbers), but because the callbacks never mutate
   engine or controller state and draw no randomness, simulation results with
   sampling enabled are identical to results without it.
+* **Batched ticks.**  Nothing can change simulation state between two kernel
+  events, so one tick also emits every later tick that falls strictly
+  before the next live kernel event (and not past an active
+  ``run(until=...)`` horizon), each evaluated at its own time.  The emitted
+  stream equals the one-event-per-tick stream except for the kernel's own
+  counters (``processed_events``, ``scheduled_events``, ``pending_events``,
+  ``events_per_simsec``), which no longer count the batched tick events.
 * **Termination.**  A self-rescheduling event would keep a run-to-exhaustion
   kernel alive forever, so the sampler consults ``should_continue()`` after
   every tick and stops rescheduling once it returns False (typically "all
@@ -33,7 +42,7 @@ Two properties matter for correctness:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.telemetry.hub import TelemetryHub
 
@@ -41,41 +50,59 @@ if TYPE_CHECKING:  # imported lazily: the kernel itself imports this package
     from repro.simulation.des import Simulator
 
 #: Event priority of sampler ticks: higher than every engine/controller
-#: priority in use (0-2), so a sample taken at time T observes the state
+#: priority in use (0-4), so a sample taken at time T observes the state
 #: *after* all state changes scheduled at T.
 SAMPLE_PRIORITY = 9
 
-SampleSource = Tuple[str, Callable[[], Dict[str, float]]]
+#: ``(src_label, sample)`` or ``(src_label, sample, stretch)``.  ``sample(now)``
+#: returns a fresh flat dict of fields.  The optional ``stretch(now)`` returns
+#: that same dict together with ``fill(event, t)``, which rewrites the fields
+#: that move with time in a copy of it for any later ``t``, as long as no
+#: event has changed the state: batched ticks read the state once per stretch.
+Sample = Callable[[float], Dict[str, float]]
+Fill = Callable[[Dict[str, float], float], None]
+SampleSource = Union[
+    Tuple[str, Sample],
+    Tuple[str, Sample, Callable[[float], Tuple[Dict[str, float], Fill]]],
+]
 
 
-def kernel_sample_source(sim: Simulator) -> Callable[[], Dict[str, float]]:
+def kernel_sample_source(sim: Simulator) -> Sample:
     """Build a sample source reading the kernel's own counters.
 
+    The returned ``sample(now)`` carries its stretch form as the attribute
+    ``stretch`` (pass ``("kernel", source, source.stretch)`` to a sampler).
     The event rate is computed per *simulated* second (events processed since
     the previous sample over simulated time elapsed) so that samples stay
     free of wall-clock quantities and therefore deterministic.
     """
     state = {"time": sim.now, "processed": sim.processed_events}
 
-    def sample() -> Dict[str, float]:
+    def stretch(now: float) -> Tuple[Dict[str, float], Fill]:
         # Reads the kernel's private counters directly: each public property
-        # is a Python frame, and this closure runs twice per sampler tick on
-        # every sampled run — the properties remain the supported interface
-        # everywhere latency does not matter.
-        now = sim.now
+        # is a Python frame on a path that runs on every sampler callback.
         processed = sim.processed_events
-        elapsed = now - state["time"]
-        delta = processed - state["processed"]
-        state["time"] = now
-        state["processed"] = processed
-        return {
+
+        def fill(event: Dict[str, float], t: float) -> None:
+            elapsed = t - state["time"]
+            delta = processed - state["processed"]
+            state["time"] = t
+            state["processed"] = processed
+            event["events_per_simsec"] = (delta / elapsed) if elapsed > 0 else 0.0
+
+        event = {
             "processed_events": processed,
             "pending_events": len(sim._heap),
             "scheduled_events": sim._seq,
             "heap_compactions": sim._compactions,
-            "events_per_simsec": (delta / elapsed) if elapsed > 0 else 0.0,
         }
+        fill(event, now)
+        return event, fill
 
+    def sample(now: float) -> Dict[str, float]:
+        return stretch(now)[0]
+
+    sample.stretch = stretch  # type: ignore[attr-defined]
     return sample
 
 
@@ -98,6 +125,11 @@ class PeriodicSampler:
         self.hub = hub
         self.interval = float(interval)
         self.sources = list(sources)
+        # (src, sample, stretch or None); see SampleSource.
+        self._sources = [
+            (entry[0], entry[1], entry[2] if len(entry) > 2 else None)
+            for entry in self.sources
+        ]
         self.should_continue = should_continue
         self.samples_taken = 0
         self._started = False
@@ -109,7 +141,7 @@ class PeriodicSampler:
         if self._started:
             raise RuntimeError("the sampler is already started")
         self._started = True
-        self._sample()
+        self._sample([self.sim.now])
         self._pending = self.sim.schedule(
             self.interval, self._tick, priority=SAMPLE_PRIORITY
         )
@@ -128,44 +160,59 @@ class PeriodicSampler:
             self._pending = None
 
     # ------------------------------------------------------------- internals
-    def _sample(self) -> None:
-        now = self.sim.now
-        emit_event = self.hub.emit_event
-        for src, fn in self.sources:
-            # Sources return a fresh flat dict per call; fill in the base
-            # fields and hand it straight to the hub instead of paying a
-            # kwargs copy per sample (samples dominate telemetry streams).
-            event = fn()
-            event["t"] = now
-            event["kind"] = "sample"
-            event["src"] = src
-            emit_event(event)
-        self.samples_taken += 1
+    def _sample(self, times: List[float]) -> None:
+        """Sample every source at ``times``, all before the next state change."""
+        columns = []
+        for src, fn, stretch in self._sources:
+            # Sources return fresh flat dicts; fill in the base fields and
+            # hand them straight to the hub (samples dominate the stream).
+            if stretch is None:
+                column = [fn(now) for now in times]
+                for event, now in zip(column, times):
+                    event["t"] = now
+                    event["kind"] = "sample"
+                    event["src"] = src
+            else:
+                event, fill = stretch(times[0])
+                event["t"] = times[0]
+                event["kind"] = "sample"
+                event["src"] = src
+                column = [event]
+                for now in times[1:]:
+                    event = event.copy()  # emitted events are read-only
+                    fill(event, now)
+                    event["t"] = now
+                    column.append(event)
+            columns.append(column)
+        self.hub.emit_events([event for row in zip(*columns) for event in row])
+        self.samples_taken += len(times)
 
     def _tick(self, sim: Simulator) -> None:
         self._pending = None
         if self._stopped:
             return
-        # The sampling loop is inlined (rather than calling :meth:`_sample`)
-        # because ticks fire for the whole run on every sampled simulation —
-        # one saved Python frame per tick is measurable in the telemetry
-        # overhead benchmark.
         now = sim.now
-        emit_event = self.hub.emit_event
-        for src, fn in self.sources:
-            event = fn()
-            event["t"] = now
-            event["kind"] = "sample"
-            event["src"] = src
-            emit_event(event)
-        self.samples_taken += 1
+        times = [now]
         if self.should_continue is not None:
             alive = self.should_continue()
         else:
             # The tick itself was already popped, so any remaining entry is
             # other work (possibly cancelled; see module docstring).
             alive = sim.pending_events > 0
+        interval = self.interval
+        # ``due + interval`` step by step: the kernel's own arithmetic for a
+        # tick rescheduled one interval after the previous one.
+        due = now + interval
+        limit = sim.next_live_time() if alive else None
+        if limit is not None:
+            # State is frozen until the next live event (and so is
+            # ``alive``): take those ticks here instead of one event each,
+            # up to and including a run(until=...) horizon, as an
+            # event-per-tick run would; later ones wait for the next run().
+            horizon = sim.horizon
+            while due < limit and (horizon is None or due <= horizon):
+                times.append(due)
+                due = due + interval
+        self._sample(times)
         if alive:
-            self._pending = sim.schedule(
-                self.interval, self._tick, priority=SAMPLE_PRIORITY
-            )
+            self._pending = sim.schedule_at(due, self._tick, priority=SAMPLE_PRIORITY)

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -95,3 +100,24 @@ def test_accuracy_curve_starts_at_zero_and_grows(corpus):
     assert errors[0] == 0.0
     assert errors[1] > 0.0
     assert errors[2] > errors[1]
+
+
+def test_accuracy_curve_is_independent_of_the_hash_seed():
+    """String hashing is salted per process; the Fig. 6 curve must not be."""
+    code = (
+        "from repro.mapreduce.wordcount import wordcount_accuracy_curve\n"
+        "from repro.workloads.text import CorpusSpec, synthetic_corpus\n"
+        "docs = synthetic_corpus(CorpusSpec(num_documents=40, words_per_document=60,"
+        " vocabulary_size=800, num_topics=6, topic_vocabulary_size=60), seed=0)\n"
+        "print(repr(wordcount_accuracy_curve(docs, [0.3, 0.8], num_partitions=12,"
+        " top_n=100, repetitions=2, seed=0)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    outputs = set()
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.add(result.stdout)
+    assert len(outputs) == 1
