@@ -1,5 +1,11 @@
 """The DiAS controller (§3.2, §3.3) and the end-to-end simulation driver.
 
+One controller serves both job shapes: :class:`DiASSimulation` runs linear
+Spark jobs (:class:`~repro.engine.job.Job` on a
+:class:`~repro.engine.execution.JobExecution`), and its subclass
+:class:`~repro.dag.simulation.DagSimulation` runs stage DAGs, overriding
+only the drop plan, the execution it builds and the DAG accounting.
+
 The controller reproduces the prototype's state machine:
 
 * arriving jobs are placed in the buffer of their priority class;
@@ -251,8 +257,8 @@ class DiASSimulation:
         # times) per job while span tracing is on; empty otherwise.
         self._trace: Dict[int, Dict[str, Any]] = {}
         self._completed = 0
-        # Invoked after every completion; embedders (fleet) and the telemetry
-        # sampler use it to react to end-of-workload without polling.
+        # Invoked after every completion; embedders (fleet) and checkpointing
+        # use it to react to end-of-workload without polling.
         self.on_job_complete: Optional[Callable[[], None]] = None
         # Invoked with every finished JobRecord; embedders tee records into a
         # shared (streaming) collector without touching per-cluster metrics.
@@ -262,9 +268,10 @@ class DiASSimulation:
         self._service_estimates: Dict[int, float] = {}
         self._queued_work = 0.0
         self._running_estimate = 0.0
-        self._running_started_at = 0.0
         # priority -> interned "depth_p{priority}" sample field name.
         self._depth_keys: Dict[int, str] = {}
+        # The periodic sampler of a standalone run, stopped once it drains.
+        self._sampler: Optional[PeriodicSampler] = None
 
     # ---------------------------------------------------------- load queries
     @property
@@ -320,8 +327,9 @@ class DiASSimulation:
         sample["power_mode"] = meter._mode
         busy = self.metrics.busy_time + self.metrics.wasted_time
         queued = self._queued_work
-        started = self._running_started_at if running is not None else None
+        started = running.start_time if running is not None else None
         estimate = self._running_estimate
+        with_work_left = self._samples_work_left
         # EnergyMeter.projected_joules, term for term.
         joules = meter.account.total_joules
         last = meter._last_time
@@ -330,11 +338,13 @@ class DiASSimulation:
         def fill(sample: Dict[str, float], t: float) -> None:
             if started is None:
                 sample["utilisation"] = (busy / t) if t > 0 else 0.0
-                sample["work_left"] = queued
+                if with_work_left:
+                    sample["work_left"] = queued
             else:
                 ran = max(0.0, t - started)
                 sample["utilisation"] = ((busy + ran) / t) if t > 0 else 0.0
-                sample["work_left"] = queued + max(0.0, estimate - (t - started))
+                if with_work_left:
+                    sample["work_left"] = queued + max(0.0, estimate - (t - started))
             sample["energy_joules"] = joules + max(0.0, t - last) * watts
 
         fill(sample, now)
@@ -350,7 +360,7 @@ class DiASSimulation:
         """
         remaining = self._queued_work
         if self._running is not None:
-            elapsed = (self.sim.now if now is None else now) - self._running_started_at
+            elapsed = (self.sim.now if now is None else now) - self._running.start_time
             remaining += max(0.0, self._running_estimate - elapsed)
         return remaining
 
@@ -395,11 +405,7 @@ class DiASSimulation:
         self.schedule_trace()
         if self.faults is not None and not self.faults.started:
             self.faults.start()
-        if (
-            self.faults is not None
-            and self.jobs
-            and self._completed >= len(self.jobs)
-        ):
+        if self.faults is not None and self._drained():
             # Resumed from a snapshot taken after the workload drained: no
             # completion event will fire the stop, so cancel the crash/repair
             # renewal process here or the heap never empties.
@@ -407,14 +413,9 @@ class DiASSimulation:
         telemetry = self.telemetry
         if telemetry.enabled:
             telemetry.emit(
-                "run_start",
-                self.sim.now,
-                src=self.telemetry_src,
-                run="dias",
-                policy=self.policy.name,
+                "run_start", self.sim.now, src=self.telemetry_src, **self._run_labels()
             )
             if telemetry.sample_interval is not None:
-                total = len(self.jobs)
                 kernel = kernel_sample_source(self.sim)
                 sampler = PeriodicSampler(
                     self.sim,
@@ -424,14 +425,12 @@ class DiASSimulation:
                         (self.telemetry_src, self.telemetry_sample, self.telemetry_stretch),
                         ("kernel", kernel, kernel.stretch),
                     ],
-                    should_continue=lambda: self._completed < total,
+                    should_continue=lambda: not self._drained(),
                 )
                 sampler.start()
-                # Cancel the trailing tick at end-of-workload so sampling
+                # Cancelled at end-of-workload (see _on_complete) so sampling
                 # never advances the clock past the unsampled run's end.
-                self.on_job_complete = (
-                    lambda: sampler.stop() if self._completed >= total else None
-                )
+                self._sampler = sampler
         self.sim.run(until=until)
         result = self.finalize()
         if telemetry.enabled:
@@ -449,7 +448,7 @@ class DiASSimulation:
         self.energy_meter.advance(self.sim.now)
         self.metrics.set_observation_time(self.sim.now)
         account = self.energy_meter.account
-        return SimulationResult(
+        return self._result(
             policy_name=self.policy.name,
             metrics=self.metrics,
             duration=self.sim.now,
@@ -464,6 +463,67 @@ class DiASSimulation:
             sprint_energy_joules=account.sprint_joules,
             fault_counts=dict(self.faults.counters) if self.faults is not None else {},
         )
+
+    # ------------------------------------------------- job-shape hooks
+    # DagSimulation overrides these; everything else is shared.
+
+    #: Whether telemetry samples carry the ``work_left`` backlog estimate.
+    _samples_work_left = True
+
+    def _run_labels(self) -> Dict[str, Any]:
+        """Fields of the ``run_start`` event after ``src``."""
+        return {"run": "dias", "policy": self.policy.name}
+
+    def _result(self, **fields: Any) -> SimulationResult:
+        return SimulationResult(**fields)
+
+    def _drained(self) -> bool:
+        """End of workload: every job of the trace has completed.
+
+        Never true for embedded controllers (no trace of their own): the
+        embedder decides when the shared workload has drained.
+        """
+        return bool(self.jobs) and self._completed >= len(self.jobs)
+
+    def _plan(self, job: Job) -> DropPlan:
+        """Choose the tasks to keep: the provider's ratios, else the policy's."""
+        if self.drop_ratio_provider is not None:
+            decision = self.drop_ratio_provider(job, self.sim.now, self.metrics)
+            map_drop = decision.map_drop_ratio
+            reduce_drop = decision.reduce_drop_ratio
+        else:
+            map_drop = self.policy.map_drop_ratio(job.priority)
+            reduce_drop = self.policy.reduce_drop_ratio(job.priority)
+        return self.dropper.plan(job, map_drop, reduce_drop)
+
+    def _make_execution(self, job: Job, plan: DropPlan, trace_parent: int) -> JobExecution:
+        """Build (but do not start) the execution of one dispatch attempt."""
+        phases = build_phases(
+            job,
+            map_drop_ratio=plan.map_drop_ratio,
+            reduce_drop_ratio=plan.reduce_drop_ratio,
+            kept_map_indices=plan.kept_map_indices,
+            kept_reduce_indices=plan.kept_reduce_indices,
+        )
+        return JobExecution(
+            self.sim,
+            self.cluster,
+            job,
+            phases,
+            on_complete=self._on_complete,
+            telemetry=self.telemetry,
+            telemetry_src=self.telemetry_src,
+            trace_parent=trace_parent,
+            faults=self.faults,
+            on_give_up=self._on_task_exhausted if self.faults is not None else None,
+        )
+
+    def _attempt_span_fields(self, execution: JobExecution) -> Dict[str, Any]:
+        """Extra fields of a closed ``attempt`` span."""
+        return {}
+
+    def _account_completion(self, execution: JobExecution) -> None:
+        """Job-shape statistics kept beyond the :class:`JobRecord`."""
 
     # --------------------------------------------------------------- events
     def _make_arrival_callback(self, job: Job):
@@ -508,14 +568,7 @@ class DiASSimulation:
             self.energy_meter.set_mode("idle", self.sim.now)
             return
         self._queued_work = max(0.0, self._queued_work - self._estimated_service_time(job))
-        if self.drop_ratio_provider is not None:
-            decision = self.drop_ratio_provider(job, self.sim.now, self.metrics)
-            map_drop = decision.map_drop_ratio
-            reduce_drop = decision.reduce_drop_ratio
-        else:
-            map_drop = self.policy.map_drop_ratio(job.priority)
-            reduce_drop = self.policy.reduce_drop_ratio(job.priority)
-        plan = self.dropper.plan(job, map_drop, reduce_drop)
+        plan = self._plan(job)
         if self.telemetry.enabled:
             # kept_map_indices maps stage index -> kept task indices.
             kept = sum(len(idx) for idx in plan.kept_map_indices.values())
@@ -525,18 +578,11 @@ class DiASSimulation:
                 src=self.telemetry_src,
                 job_id=job.job_id,
                 priority=job.priority,
-                map_drop_ratio=map_drop,
-                reduce_drop_ratio=reduce_drop,
+                map_drop_ratio=plan.map_drop_ratio,
+                reduce_drop_ratio=plan.reduce_drop_ratio,
                 kept_map_tasks=kept,
                 dropped_map_tasks=job.num_map_tasks - kept,
             )
-        phases = build_phases(
-            job,
-            map_drop_ratio=map_drop,
-            reduce_drop_ratio=reduce_drop,
-            kept_map_indices=plan.kept_map_indices,
-            kept_reduce_indices=plan.kept_reduce_indices,
-        )
         trace_parent = 0
         if self.telemetry.tracing:
             trace_parent = self._trace_dispatch(job, plan)
@@ -544,22 +590,10 @@ class DiASSimulation:
         # triggered later by the sprinter's timer.
         self.cluster.set_sprinting(False)
         self.energy_meter.set_mode("busy", self.sim.now)
-        execution = JobExecution(
-            self.sim,
-            self.cluster,
-            job,
-            phases,
-            on_complete=self._on_complete,
-            telemetry=self.telemetry,
-            telemetry_src=self.telemetry_src,
-            trace_parent=trace_parent,
-            faults=self.faults,
-            on_give_up=self._on_task_exhausted if self.faults is not None else None,
-        )
+        execution = self._make_execution(job, plan, trace_parent)
         self._running = execution
         self._running_plan = plan
         self._running_estimate = self._estimated_service_time(job)
-        self._running_started_at = self.sim.now
         execution.start(speed=self.cluster.speed)
         if self.sprinter is not None:
             self.sprinter.on_dispatch(execution)
@@ -568,8 +602,8 @@ class DiASSimulation:
     def _trace_dispatch(self, job: Job, plan: DropPlan) -> int:
         """Close the queue span, open the attempt span, annotate the drop.
 
-        Returns the attempt span id, which the :class:`JobExecution` uses as
-        the parent of its wave/task spans.  Only called while tracing.
+        Returns the attempt span id, which the execution uses as the parent
+        of its wave/stage/task spans.  Only called while tracing.
         """
         telemetry = self.telemetry
         now = self.sim.now
@@ -627,6 +661,7 @@ class DiASSimulation:
             attempt=state["attempt"],
             outcome=outcome,
             sprinted=execution.sprinted_time,
+            **self._attempt_span_fields(execution),
         )
 
     def _evict_running(self) -> None:
@@ -737,17 +772,17 @@ class DiASSimulation:
                 job_id=job.job_id,
                 priority=job.priority,
             )
+        self._account_completion(execution)
         self._completed += 1
-        if (
-            self.faults is not None
-            and self.jobs
-            and self._completed >= len(self.jobs)
-        ):
-            # Standalone run drained: cancel the open-ended crash/repair
-            # renewal process so the event heap can empty.  Fleet-embedded
-            # controllers have an empty job list; the fleet stops their
-            # injectors from its own completion hook.
-            self.faults.stop()
+        if self._drained():
+            # Standalone run drained: cancel the trailing sampler tick and
+            # the open-ended crash/repair renewal process so the event heap
+            # can empty.  Fleet-embedded controllers never drain; the fleet
+            # stops their injectors from its own completion hook.
+            if self._sampler is not None:
+                self._sampler.stop()
+            if self.faults is not None:
+                self.faults.stop()
         if self.on_job_complete is not None:
             self.on_job_complete()
         self._running = None

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import SCENARIOS, _parse_policy, build_parser, main
@@ -462,6 +464,26 @@ def test_dag_replay_runs_from_a_dag_trace(tmp_path, capsys):
     output = capsys.readouterr().out
     assert "DAG replay" in output
     assert "10 jobs" in output
+
+
+def test_dag_replay_tolerates_repeated_job_ids(tmp_path, capsys):
+    # Every record appears twice: both copies share an id and an arrival
+    # time, so two jobs with one id are in the system at once.
+    path = tmp_path / "dag.jsonl"
+    assert main(["synth-trace", "--out", str(path), "--format", "dag-jsonl",
+                 "--num-jobs", "10", "--seed", "7"]) == 0
+    capsys.readouterr()
+    header, *records = path.read_text().splitlines()
+    meta = json.loads(header)
+    meta["repro_trace"]["jobs"] = 2 * len(records)
+    doubled = tmp_path / "doubled.jsonl"
+    lines = [json.dumps(meta)] + [r for r in records for _ in (0, 1)]
+    doubled.write_text("\n".join(lines) + "\n")
+    assert main(["dag", "--replay", str(doubled)]) == 0
+    output = capsys.readouterr().out
+    (completed,) = [line.split()[1] for line in output.splitlines()
+                    if line.startswith("completed_jobs")]
+    assert float(completed) == 2 * len(records) == 20
 
 
 def test_list_mentions_trace_formats(capsys):
