@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 import pytest
 
@@ -59,15 +59,13 @@ def _policies(scenario) -> Dict[str, SchedulingPolicy]:
     }
 
 
-def _traced_hub() -> TelemetryHub:
+def _traced_hub() -> Tuple[TelemetryHub, RingBufferSink]:
     hub = TelemetryHub(sample_interval=5.0, tracing=True)
-    hub.add_sink(RingBufferSink(capacity=1 << 22))
-    return hub
+    return hub, hub.add_sink(RingBufferSink(capacity=1 << 22))
 
 
-def _events(hub: TelemetryHub) -> List[Dict[str, Any]]:
-    (sink,) = hub._sinks
-    assert len(sink) < sink.capacity
+def _events(sink: RingBufferSink) -> List[Dict[str, Any]]:
+    assert len(sink) < sink.capacity  # nothing was overwritten
     return sink.events
 
 
@@ -112,7 +110,7 @@ LINEAR_SCENARIOS = {
 def _linear(scenario_name, policy_name, seed, traced=False, faults=None, provider=None):
     def cell(_tmp_path) -> List[Any]:
         scenario = LINEAR_SCENARIOS[scenario_name]()
-        hub = _traced_hub() if traced else None
+        hub, sink = _traced_hub() if traced else (None, None)
         kwargs = {"telemetry": hub} if hub is not None else {}
         simulation = DiASSimulation(
             policy=_policies(scenario)[policy_name],
@@ -124,8 +122,8 @@ def _linear(scenario_name, policy_name, seed, traced=False, faults=None, provide
             **kwargs,
         )
         payload = _payload(simulation.run())
-        if hub is not None:
-            payload.append(_events(hub))
+        if sink is not None:
+            payload.append(_events(sink))
         return payload
 
     return cell
@@ -150,7 +148,7 @@ def _dag(scenario_name, scheduler, policy_name, seed=0, traced=False, faults=Non
          slack_biased=False):
     def cell(_tmp_path) -> List[Any]:
         scenario = DAG_SCENARIOS[scenario_name]()
-        hub = _traced_hub() if traced else None
+        hub, sink = _traced_hub() if traced else (None, None)
         kwargs = {"telemetry": hub} if hub is not None else {}
         simulation = DagSimulation(
             policy=_policies(scenario)[policy_name],
@@ -163,8 +161,8 @@ def _dag(scenario_name, scheduler, policy_name, seed=0, traced=False, faults=Non
             **kwargs,
         )
         payload = _payload(simulation.run())
-        if hub is not None:
-            payload.append(_events(hub))
+        if sink is not None:
+            payload.append(_events(sink))
         return payload
 
     return cell
@@ -174,7 +172,7 @@ def _dag_streaming_replay(tmp_path) -> List[Any]:
     path = str(tmp_path / "dag.jsonl")
     scenario = scenario_module.dag_layered_scenario(num_jobs=24)
     synthesize_trace(path, scenario, num_jobs=24, seed=5, fmt=DAG_JSONL)
-    hub = _traced_hub()
+    hub, sink = _traced_hub()
     simulation = DagSimulation(
         policy=_policies(scenario)["DiAS-limited"],
         job_source=ReplaySource(path, mode="dag"),
@@ -184,7 +182,7 @@ def _dag_streaming_replay(tmp_path) -> List[Any]:
         streaming_metrics=True,
     )
     payload = _payload(simulation.run())
-    payload.append(_events(hub))
+    payload.append(_events(sink))
     return payload
 
 
