@@ -641,7 +641,7 @@ class JobExecution:
                         src=self.telemetry_src,
                         job_id=self.job.job_id,
                         slot=slot,
-                        attempt=active.attempt,
+                        attempt=active.attempt + 1,
                         delay=delay,
                     )
                 if self.telemetry.tracing:

@@ -60,6 +60,8 @@ KIND_FIELDS: Dict[str, Dict[str, Tuple[type, ...]]] = {
     "fault.straggler": {"job_id": _NUMBER, "slot": _NUMBER, "slowdown": _NUMBER},
     "fault.speculate": {"job_id": _NUMBER, "slot": _NUMBER, "copy_slot": _NUMBER},
     "fault.task_fail": {"job_id": _NUMBER, "slot": _NUMBER, "attempt": _NUMBER},
+    # ``fault.task_fail.attempt`` is the attempt that failed;
+    # ``fault.retry.attempt`` is the attempt the retry will run (one more).
     "fault.retry": {
         "job_id": _NUMBER,
         "slot": _NUMBER,

@@ -14,6 +14,7 @@ from repro.core.policies import SchedulingPolicy
 from repro.dag.simulation import DagSimulation
 from repro.engine.cluster import Cluster
 from repro.fleet.simulation import FleetSimulation
+from repro.telemetry import RingBufferSink, TelemetryHub
 from repro.workloads.scenarios import (
     FleetScenario,
     dag_fork_join_scenario,
@@ -21,7 +22,7 @@ from repro.workloads.scenarios import (
 )
 
 
-def _dias(spec: str, num_jobs: int = 30, seed: int = 2):
+def _dias(spec: str, num_jobs: int = 30, seed: int = 2, **kwargs):
     scenario = reference_two_priority_scenario()
     source = scenario.cluster
     cluster = Cluster(
@@ -33,6 +34,7 @@ def _dias(spec: str, num_jobs: int = 30, seed: int = 2):
         cluster=cluster,
         seed=seed,
         faults=spec,
+        **kwargs,
     )
     return simulation, simulation.run()
 
@@ -99,7 +101,7 @@ def test_fleet_quarantines_crashed_clusters_and_completes():
     assert fleet.quarantine_redirects == counters["quarantine_redirects"]
 
 
-def _dag(spec: str, seed: int = 3, num_jobs: int = 20):
+def _dag(spec: str, seed: int = 3, num_jobs: int = 20, **kwargs):
     scenario = dag_fork_join_scenario(num_jobs=num_jobs)
     simulation = DagSimulation(
         policy=SchedulingPolicy.non_preemptive_priority(),
@@ -108,6 +110,7 @@ def _dag(spec: str, seed: int = 3, num_jobs: int = 20):
         cluster=scenario.cluster,
         seed=seed,
         faults=spec,
+        **kwargs,
     )
     return simulation, simulation.run()
 
@@ -138,3 +141,23 @@ def test_dag_restart_recovery_reexecutes_jobs():
     assert result.completed_jobs == 20
     assert result.fault_counts["crashes"] > 0
     assert result.fault_counts["job_restarts"] > 0
+
+
+@pytest.mark.parametrize("run", [_dias, _dag], ids=["linear", "dag"])
+def test_retry_attempt_is_the_attempt_the_retry_runs(run):
+    # ``fault.task_fail`` names the attempt that failed and the
+    # ``fault.retry`` that follows on the same slot the one it will run.
+    hub = TelemetryHub()
+    sink = hub.add_sink(RingBufferSink(capacity=1 << 20))
+    run("taskfail:p=0.1,retries=3,backoff=0.5", telemetry=hub)
+    failed = {}
+    retries = 0
+    for event in sink.events:
+        key = (event.get("job_id"), event.get("slot"))
+        if event["kind"] == "fault.task_fail":
+            failed[key] = event["attempt"]
+        elif event["kind"] == "fault.retry":
+            assert event["attempt"] == failed[key] + 1
+            retries += 1
+    assert retries > 0
+    assert max(failed.values()) > 1
