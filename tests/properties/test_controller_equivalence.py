@@ -10,7 +10,11 @@ event stream with span tracing and periodic sampling.
 
 The sha256 digests in ``DIGESTS`` were computed at commit ``e5ddcce``, while
 ``DagSimulation`` was still a separate copy of the linear controller; any
-refactoring of the controllers must leave every one of them unchanged.  (A
+refactoring of the controllers must leave every one of them unchanged.  The
+cells in ``FAULT_CELLS`` were added later, with digests computed at commit
+``e90ad5b``, while ``JobExecution`` and ``DagExecution`` still each carried
+their own slot machinery: they drive linear retries, speculation and give-ups,
+DAG stragglers, and sprints on runs that execute task by task.  (A
 dependency upgrade that alters a random stream would change them too; then
 recompute them on a commit whose controller code is known-good.)
 """
@@ -287,6 +291,38 @@ CELLS.update(
     }
 )
 
+LINEAR_FAULTS = (
+    "crash:mttf=300,repair=30;stragglers:p=0.1,slowdown=3,speculate=1.5;"
+    "taskfail:p=0.05,retries=2"
+)
+
+#: Fault cells -> the counters each must record as positive ("sprinted"
+#: stands for sprinted seconds), so they keep exercising what they pin.
+FAULT_CELLS: Dict[str, Tuple[str, ...]] = {
+    "linear/faults/DiAS-limited/traced": ("crashes", "retries", "speculations", "sprinted"),
+    "linear/faults/DiAS-limited": ("crashes", "retries", "speculations", "sprinted"),
+    "linear/retries-exhausted/traced": ("task_failures", "job_restarts"),
+    "dag/faults/DiAS-limited/traced": ("stragglers", "retries", "sprinted"),
+}
+CELLS.update(
+    {
+        "linear/faults/DiAS-limited/traced": _linear(
+            "sprinting", "DiAS-limited", 0, traced=True, faults=LINEAR_FAULTS
+        ),
+        "linear/faults/DiAS-limited": _linear(
+            "sprinting", "DiAS-limited", 0, faults=LINEAR_FAULTS
+        ),
+        "linear/retries-exhausted/traced": _linear(
+            "reference", "DiAS-limited", 0, traced=True,
+            faults="taskfail:p=0.02,retries=0",
+        ),
+        "dag/faults/DiAS-limited/traced": _dag(
+            "layered", "critical_path_first", "DiAS-limited", traced=True,
+            faults="stragglers:p=0.1,slowdown=3;taskfail:p=0.05,retries=2",
+        ),
+    }
+)
+
 
 def digest(name: str, tmp_path) -> str:
     """sha256 of the repr of one cell's payload."""
@@ -299,6 +335,9 @@ DIGESTS: Dict[str, str] = {
     ),
     "dag/crash-retries/traced": (
         "1a00b8b6caf84e19ce993ed788487d06256aa75b1836bcb1f4ecac3fc90264ce"
+    ),
+    "dag/faults/DiAS-limited/traced": (
+        "4950e2a23c2cdf38fd078fab2dd082e99605693f71879b33b8c225fb76775105"
     ),
     "dag/fork-join/critical_path_first/DA(0/20)": (
         "6782ea3d22eafbc65c0d1ef7272169684f849a7c79b4f6cf23c3fc0ea0ccb3b9"
@@ -378,6 +417,12 @@ DIGESTS: Dict[str, str] = {
     "linear/crash-restart/traced": (
         "ffa8e94ae0a74304ae329ed220eaeea2fc1289a8d0f3a29c6c4c9d120c7d3d5d"
     ),
+    "linear/faults/DiAS-limited": (
+        "282c164d587d906d7bb3ea7a2180341a4beefe6a56c61c388150e90711e98cbd"
+    ),
+    "linear/faults/DiAS-limited/traced": (
+        "af983c9a02f8ed651e2bd7eeddbc29bb2664701796d28eaad428530854c260bb"
+    ),
     "linear/provider/traced": (
         "7605224a28f87b6ae08e969b94f255f3f84f06a2ae3c52f4c7130b138c7ba7ce"
     ),
@@ -413,6 +458,9 @@ DIGESTS: Dict[str, str] = {
     ),
     "linear/reference/P/traced": (
         "79e9b0d10710ea6b2b0fa4c8f3089c2a9a9506468b1b5d669eafb480297dc8d9"
+    ),
+    "linear/retries-exhausted/traced": (
+        "0be4d5d3e19d0b00a3bfaac8e7fc44834fc3fa2041c9b95424e825d4473170c7"
     ),
     "linear/sprinting/DA(0/20)/seed0": (
         "2aac1ee006d03ff2f350a85fe8e4b779bf8189e605af0563383cbd035017e294"
@@ -487,3 +535,10 @@ def test_every_cell_has_a_digest():
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_controller_outputs_are_unchanged(name, tmp_path):
     assert digest(name, tmp_path) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(FAULT_CELLS))
+def test_fault_cells_engage_what_they_pin(name, tmp_path):
+    payload = CELLS[name](tmp_path)
+    counts = dict(payload[11], sprinted=payload[9])
+    assert all(counts[counter] > 0 for counter in FAULT_CELLS[name]), counts
