@@ -15,8 +15,8 @@ physical plans and ML pipelines:
   ``critical_path_first``, ``shortest_remaining_work``, ``widest_first``)
   choosing which ready stage gets free slots.
 * :mod:`repro.dag.execution` — :class:`DagExecution`, the frontier-driven
-  engine running ready stages concurrently on the cluster's slots (with DVFS
-  rescaling and eviction, like the linear engine).
+  engine running ready stages concurrently on the cluster's slots (on the
+  linear engine's slot machine: DVFS rescaling, eviction, fault recovery).
 * :mod:`repro.dag.simulation` — :class:`DagSimulation`, DiAS (buffers,
   per-stage differential approximation, sprinting, energy) on DAG jobs.
 """

@@ -1,26 +1,23 @@
 """Execution of one DAG job on the cluster inside the simulator.
 
-:class:`DagExecution` generalises the linear
-:class:`~repro.engine.execution.JobExecution`: instead of a fixed sequence of
-phases, it maintains the DAG's *frontier* — stages whose parents have all
-completed — and lets every ready stage compete for the cluster's ``C``
-computing slots.  Each time a slot frees up, the pluggable
-:class:`~repro.dag.schedulers.StageScheduler` picks which ready stage the slot
-serves next, one task at a time.  Within a stage the usual Spark discipline
-holds: all map tasks, then the (serial) shuffle, then all reduce tasks.
-
-Like its linear counterpart, the execution supports the two dynamic
-operations DiAS needs — :meth:`DagExecution.set_speed` (cluster-wide DVFS
-rescales all in-flight tasks) and :meth:`DagExecution.evict` (preemptive
-eviction cancels everything and reports the wasted wall time) — so the DiAS
-controller machinery (sprinter, energy meter, preemptive baseline) drives DAG
-jobs unchanged.
+:class:`DagExecution` subclasses :class:`~repro.engine.execution.SlotExecution`,
+the slot machine the linear :class:`~repro.engine.execution.JobExecution`
+runs on too, so task dispatch, the DVFS rescale of
+:meth:`DagExecution.set_speed`, eviction, retries and crash recovery are the
+same code for both job shapes.  What it adds is the DAG's
+*frontier* — stages whose parents have all completed — where every ready
+stage competes for the cluster's ``C`` computing slots.  Each time a slot
+frees up, the pluggable :class:`~repro.dag.schedulers.StageScheduler` (or an
+external decision hook) picks which ready stage the slot serves next, one
+task at a time.  Within a stage the usual Spark discipline holds: all map
+tasks, then the (serial) shuffle, then all reduce tasks.  The execution also
+carries the PERT analysis of the kept tasks (critical path, lower-bound
+makespan) and emits ``stage`` spans when tracing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dag.analytics import (
     CriticalPathAnalysis,
@@ -31,9 +28,9 @@ from repro.dag.analytics import (
 from repro.dag.graph import DagJob, DagStage
 from repro.dag.schedulers import StageScheduler, make_stage_scheduler
 from repro.engine.cluster import Cluster
-from repro.engine.job import effective_task_count
+from repro.engine.execution import SlotExecution, _ActiveTask, kept_task_durations
 from repro.simulation.decisions import STAGE, DecisionHook, DecisionPoint
-from repro.simulation.des import Event, Simulator
+from repro.simulation.des import Simulator
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
 
 #: Sentinel slot key for the job-level setup task.
@@ -109,6 +106,12 @@ class StageRun:
         self.active += 1
         return duration
 
+    def requeue(self, duration: float) -> None:
+        """An in-flight task was lost: it is pending again."""
+        self.active -= 1
+        self.pending.append(duration)
+        self._undispatched += duration
+
     def task_finished(self) -> bool:
         """One task completed; returns ``True`` when the whole stage is done."""
         self.active -= 1
@@ -131,29 +134,7 @@ class StageRun:
                 return
 
 
-@dataclass
-class _ActiveTask:
-    """Book-keeping for one in-flight task on one slot.
-
-    ``started_at``/``span_id`` survive DVFS reschedules so task trace spans
-    keep their true dispatch time (``span_id`` is 0 while tracing is off).
-    ``base``/``attempt``/``will_fail`` only matter under fault injection:
-    the undilated task duration (for requeue/retry), the 1-based attempt
-    number, and whether this attempt was pre-drawn to fail at completion.
-    """
-
-    slot: int
-    event: Event
-    speed: float
-    stage_run: Optional[StageRun]
-    started_at: float = 0.0
-    span_id: int = 0
-    base: float = 0.0
-    attempt: int = 1
-    will_fail: bool = False
-
-
-class DagExecution:
+class DagExecution(SlotExecution):
     """Executes one DAG job's stages on the cluster within the simulator.
 
     Parameters
@@ -164,8 +145,6 @@ class DagExecution:
     map_drop_ratio / reduce_drop_ratio:
         Uniform per-stage drop ratios (droppable stages only), mirroring
         :func:`~repro.engine.execution.build_phases`.
-    stage_map_drop_ratios / stage_reduce_drop_ratios:
-        Optional per-stage ratio overrides (e.g. slack-biased dropping).
     kept_map_indices / kept_reduce_indices:
         Explicit kept-task indices from a dropper plan; take precedence over
         any ratio.
@@ -179,7 +158,8 @@ class DagExecution:
         other ready stages instead of idling behind a straggler.
     on_give_up:
         Called with this execution when a task exhausts its retry budget
-        (the controller typically evicts and restarts the whole job).
+        (the controller typically evicts and restarts the whole job);
+        required with ``faults``.
     """
 
     def __init__(
@@ -191,8 +171,6 @@ class DagExecution:
         on_complete: Optional[Callable[["DagExecution"], None]] = None,
         map_drop_ratio: float = 0.0,
         reduce_drop_ratio: float = 0.0,
-        stage_map_drop_ratios: Optional[Mapping[int, float]] = None,
-        stage_reduce_drop_ratios: Optional[Mapping[int, float]] = None,
         kept_map_indices: Optional[Mapping[int, Sequence[int]]] = None,
         kept_reduce_indices: Optional[Mapping[int, Sequence[int]]] = None,
         setup_drop_ratio: Optional[float] = None,
@@ -203,24 +181,24 @@ class DagExecution:
         on_give_up: Optional[Callable[["DagExecution"], None]] = None,
         decision_hook: Optional[DecisionHook] = None,
     ) -> None:
-        self.sim = sim
-        self.cluster = cluster
-        self.job = job
-        self._faults = faults
-        self._on_give_up = on_give_up
+        super().__init__(
+            sim,
+            cluster,
+            job,
+            on_complete or (lambda execution: None),
+            telemetry,
+            telemetry_src,
+            trace_parent,
+            faults,
+            on_give_up,
+        )
         #: Optional external agent consulted at each stage decision; ``None``
         #: keeps the built-in scheduler path untouched (one check per pick).
         self._decision_hook = decision_hook
-        #: Tasks sitting out a retry backoff: slot -> (event, base, attempt, run).
-        self._retries: Dict[int, tuple] = {}
-        self.telemetry = telemetry
-        self.telemetry_src = telemetry_src
-        #: Enclosing attempt span id when tracing (0 otherwise): stage spans
-        #: attach to it, task spans to their stage span.
-        self.trace_parent = trace_parent
+        #: (span id, start) of the setup span while tracing; stage spans
+        #: attach to the attempt span, task spans to their stage span.
         self._setup_span: Optional[tuple] = None
         self.scheduler = make_stage_scheduler(scheduler)
-        self.on_complete = on_complete or (lambda execution: None)
         self._setup_time = job.setup_time(
             map_drop_ratio if setup_drop_ratio is None else setup_drop_ratio
         )
@@ -228,19 +206,11 @@ class DagExecution:
         kept_durations: Dict[int, float] = {}
         self._runs: Dict[int, StageRun] = {}
         for stage in job.dag:
-            maps = self._kept(
-                stage.map_task_times,
-                stage,
-                kept_map_indices,
-                stage_map_drop_ratios,
-                map_drop_ratio,
+            maps = kept_task_durations(
+                stage.map_task_times, stage, kept_map_indices, map_drop_ratio
             )
-            reduces = self._kept(
-                stage.reduce_task_times,
-                stage,
-                kept_reduce_indices,
-                stage_reduce_drop_ratios,
-                reduce_drop_ratio,
+            reduces = kept_task_durations(
+                stage.reduce_task_times, stage, kept_reduce_indices, reduce_drop_ratio
             )
             self._runs[stage.index] = StageRun(stage, maps, reduces)
             kept_durations[stage.index] = stage_duration(
@@ -254,56 +224,10 @@ class DagExecution:
         ).items():
             self._runs[index].rank = rank
 
-        self._active: Dict[int, _ActiveTask] = {}
-        self._free_slots: List[int] = []
         self._ready_counter = 0
         self._remaining_stages = len(self._runs)
 
-        self.started = False
-        self.completed = False
-        self.evicted = False
-        self.start_time: Optional[float] = None
-        self.completion_time: Optional[float] = None
-
-        self._speed = 1.0
-        self._speed_since: Optional[float] = None
-        self.sprinted_time = 0.0
-
-    @staticmethod
-    def _kept(
-        durations: Sequence[float],
-        stage: DagStage,
-        kept_indices: Optional[Mapping[int, Sequence[int]]],
-        stage_ratios: Optional[Mapping[int, float]],
-        uniform_ratio: float,
-    ) -> List[float]:
-        if kept_indices is not None and stage.index in kept_indices:
-            return [durations[i] for i in kept_indices[stage.index]]
-        if not stage.droppable:
-            return list(durations)
-        ratio = uniform_ratio
-        if stage_ratios is not None:
-            ratio = stage_ratios.get(stage.index, uniform_ratio)
-        keep = effective_task_count(len(durations), ratio)
-        return list(durations[:keep])
-
     # --------------------------------------------------------------- queries
-    @property
-    def running(self) -> bool:
-        return self.started and not self.completed and not self.evicted
-
-    @property
-    def elapsed(self) -> float:
-        """Wall time of this attempt so far (or total, once completed)."""
-        if self.start_time is None:
-            return 0.0
-        end = self.completion_time if self.completion_time is not None else self.sim.now
-        return end - self.start_time
-
-    @property
-    def speed(self) -> float:
-        return self._speed
-
     @property
     def makespan(self) -> Optional[float]:
         """Total wall time of the completed execution (``None`` before)."""
@@ -320,17 +244,8 @@ class DagExecution:
     # ---------------------------------------------------------------- control
     def start(self, speed: Optional[float] = None) -> None:
         """Begin executing the job at the current simulation time."""
-        if self.started:
-            raise RuntimeError("DAG execution already started")
-        self.started = True
-        self.start_time = self.sim.now
-        self._speed = float(speed) if speed is not None else self.cluster.speed
-        self._speed_since = self.sim.now
-        self._free_slots = (
-            list(range(self.cluster.slots))
-            if self._faults is None
-            else self.cluster.free_slot_ids()
-        )
+        self._begin(speed)
+        self._free_slots = self.cluster.free_slot_ids()
         if self._setup_time > 0:
             if self.telemetry.tracing:
                 self._setup_span = (self.telemetry.new_span_id(), self.sim.now)
@@ -338,127 +253,42 @@ class DagExecution:
                 self._setup_time / self._speed, self._on_setup_done, priority=1
             )
             self._active[_SETUP_SLOT] = _ActiveTask(
-                slot=_SETUP_SLOT,
-                event=event,
-                speed=self._speed,
-                stage_run=None,
-                started_at=self.sim.now,
+                _SETUP_SLOT, event, self._speed, started_at=self.sim.now
             )
         else:
             self._activate_sources()
 
     def set_speed(self, speed: float) -> None:
         """Apply a cluster-wide speed change (DVFS) to all in-flight tasks."""
-        if speed <= 0:
-            raise ValueError("speed must be positive")
-        if not self.running:
-            self._speed = float(speed)
-            self._speed_since = self.sim.now
-            return
-        now = self.sim.now
-        self._accumulate_sprint(now)
-        old_speed = self._speed
-        self._speed = float(speed)
-        self._speed_since = now
-        if old_speed == speed:
-            return
-        for slot, active in list(self._active.items()):
-            remaining_wall = max(0.0, active.event.time - now)
-            remaining_work = remaining_wall * active.speed
-            active.event.cancel()
-            if slot == _SETUP_SLOT:
-                new_event = self.sim.schedule(
-                    remaining_work / speed, self._on_setup_done, priority=1
-                )
-            else:
-                new_event = self.sim.schedule(
-                    remaining_work / speed, self._make_task_callback(slot), priority=1
-                )
-            # Mutate in place so fault fields (base/attempt/will_fail) survive.
-            active.event = new_event
-            active.speed = speed
+        if self._change_speed(speed) is not None:
+            self._rescale_tasks()
 
     def evict(self) -> float:
         """Cancel all in-flight work; returns the wasted wall time of the attempt."""
-        if not self.running:
-            raise RuntimeError("cannot evict a DAG execution that is not running")
-        now = self.sim.now
-        self._accumulate_sprint(now)
+        wasted = self._evict_tasks()
         if self.telemetry.tracing:
-            for active in self._active.values():
-                if active.span_id and active.stage_run is not None:
-                    self._emit_task_span(active, outcome="evicted")
             for run in self._runs.values():
                 if run.span_id and run.ready_seq >= 0 and not run.done:
                     self._emit_stage_span(run, outcome="evicted")
             if self._setup_span is not None:
                 self._emit_setup_span(outcome="evicted")
-        for active in self._active.values():
-            active.event.cancel()
-        self._active.clear()
-        for event, _base, _attempt, _run in self._retries.values():
-            event.cancel()
-        self._retries.clear()
-        self.evicted = True
-        return now - (self.start_time if self.start_time is not None else now)
+        return wasted
 
-    # -------------------------------------------------------------- internals
-    def _accumulate_sprint(self, now: float) -> None:
-        if self._speed_since is not None and self._speed > 1.0:
-            self.sprinted_time += now - self._speed_since
-        self._speed_since = now
+    # ------------------------------------------------------- kernel callbacks
+    def _make_task_callback(self, slot: int) -> Callable[[Simulator], None]:
+        if slot == _SETUP_SLOT:
+            return self._on_setup_done
 
-    def _emit_setup_span(self, outcome: str = "completed") -> None:
-        span_id, started = self._setup_span  # type: ignore[misc]
-        self._setup_span = None
-        self.telemetry.emit(
-            "span",
-            self.sim.now,
-            src=self.telemetry_src,
-            span_id=span_id,
-            parent_id=self.trace_parent,
-            name="setup",
-            cat="stage",
-            start=started,
-            job_id=self.job.job_id,
-            stage=-1,
-            parents="",
-            outcome=outcome,
-        )
+        def _callback(_sim: Simulator) -> None:
+            self._on_task_done(slot)
 
-    def _emit_stage_span(self, run: StageRun, outcome: str = "completed") -> None:
-        self.telemetry.emit(
-            "span",
-            self.sim.now,
-            src=self.telemetry_src,
-            span_id=run.span_id,
-            parent_id=self.trace_parent,
-            name="stage",
-            cat="stage",
-            start=run.activated_at,
-            job_id=self.job.job_id,
-            stage=run.index,
-            parents=",".join(str(p) for p in run.stage.parents),
-            pred=self.analysis.durations[run.index],
-            outcome=outcome,
-        )
+        return _callback
 
-    def _emit_task_span(self, active: _ActiveTask, outcome: str = "completed") -> None:
-        run = active.stage_run
-        self.telemetry.emit(
-            "span",
-            self.sim.now,
-            src=self.telemetry_src,
-            span_id=active.span_id,
-            parent_id=run.span_id if run is not None else self.trace_parent,
-            name="task",
-            cat="task",
-            start=active.started_at,
-            job_id=self.job.job_id,
-            slot=active.slot,
-            stage=run.index if run is not None else -1,
-            outcome=outcome,
-        )
+    def _make_retry_callback(self, slot: int) -> Callable[[Simulator], None]:
+        def _callback(_sim: Simulator) -> None:
+            self._retry_task(slot)
+
+        return _callback
 
     def _on_setup_done(self, _sim: Simulator) -> None:
         if not self.running:
@@ -468,6 +298,7 @@ class DagExecution:
             self._emit_setup_span()
         self._activate_sources()
 
+    # -------------------------------------------------------------- frontier
     def _activate_sources(self) -> None:
         for index in self.job.dag.sources():
             self._activate_stage(self._runs[index])
@@ -527,75 +358,12 @@ class DagExecution:
                     )
                 run = eligible[choice]
             slot = self._free_slots.pop()
-            duration = run.pop_task()
-            if self._faults is not None:
-                self._start_task(slot, run, duration, attempt=1)
-                continue
-            event = self.sim.schedule(
-                duration / self._speed, self._make_task_callback(slot), priority=1
-            )
-            self._active[slot] = _ActiveTask(
-                slot=slot,
-                event=event,
-                speed=self._speed,
-                stage_run=run,
-                started_at=self.sim.now,
-                span_id=self.telemetry.new_span_id() if self.telemetry.tracing else 0,
-            )
+            self._start_task(slot, run, run.pop_task())
 
-    def _start_task(self, slot: int, run: StageRun, base: float, attempt: int) -> None:
-        """Dispatch one attempt of a task under fault injection.
-
-        Draw order is fixed (slowdown, then failure) so the fault streams
-        advance identically regardless of scheduling interleavings.
-        """
-        faults = self._faults
-        slowdown = faults.draw_slowdown()
-        will_fail = faults.draw_task_failure()
-        event = self.sim.schedule(
-            (base * slowdown) / self._speed, self._make_task_callback(slot), priority=1
-        )
-        self._active[slot] = _ActiveTask(
-            slot=slot,
-            event=event,
-            speed=self._speed,
-            stage_run=run,
-            started_at=self.sim.now,
-            span_id=self.telemetry.new_span_id() if self.telemetry.tracing else 0,
-            base=base,
-            attempt=attempt,
-            will_fail=will_fail,
-        )
-        if slowdown > 1.0 and self.telemetry.enabled:
-            self.telemetry.emit(
-                "fault.straggler",
-                self.sim.now,
-                src=self.telemetry_src,
-                job_id=self.job.job_id,
-                slot=slot,
-                slowdown=slowdown,
-            )
-
-    def _make_task_callback(self, slot: int) -> Callable[[Simulator], None]:
-        def _callback(_sim: Simulator) -> None:
-            self._on_task_done(slot)
-
-        return _callback
-
-    def _on_task_done(self, slot: int) -> None:
-        if not self.running:
-            return
-        active = self._active.pop(slot, None)
-        if active is None:
-            return
-        if self._faults is not None and active.will_fail:
-            self._on_task_failed(active)
-            return
-        if active.span_id:
-            self._emit_task_span(active)
-        self._free_slots.append(slot)
+    def _task_finished(self, active: _ActiveTask) -> None:
+        """Advance the task's stage (and its children), then refill the slots."""
         run = active.stage_run
-        if run is not None and run.task_finished():
+        if run.task_finished():
             if run.span_id:
                 self._emit_stage_span(run)
             self._remaining_stages -= 1
@@ -609,129 +377,45 @@ class DagExecution:
             return
         self._fill_slots()
 
-    # ----------------------------------------------------- failure machinery
-    def _on_task_failed(self, active: _ActiveTask) -> None:
-        """A pre-drawn transient failure surfaced at the task's end time."""
-        faults = self._faults
-        faults.note_task_failure()
-        slot, run = active.slot, active.stage_run
-        if self.telemetry.enabled:
-            self.telemetry.emit(
-                "fault.task_fail",
-                self.sim.now,
-                src=self.telemetry_src,
-                job_id=self.job.job_id,
-                slot=slot,
-                attempt=active.attempt,
-            )
-        if active.span_id:
-            self._emit_task_span(active, outcome="failed")
-        if active.attempt <= faults.max_retries:
-            delay = faults.retry_delay(active.attempt)
-            faults.note_retry()
-            if self.telemetry.enabled:
-                self.telemetry.emit(
-                    "fault.retry",
-                    self.sim.now,
-                    src=self.telemetry_src,
-                    job_id=self.job.job_id,
-                    slot=slot,
-                    attempt=active.attempt + 1,
-                    delay=delay,
-                )
-            self._emit_fault_span("retry", slot)
-            event = self.sim.schedule(
-                delay, self._make_retry_callback(slot), priority=1
-            )
-            # The slot sits out the backoff: neither free nor active, and the
-            # stage's in-flight count stays up so it cannot advance phase.
-            self._retries[slot] = (event, active.base, active.attempt + 1, run)
-            return
-        if self._on_give_up is not None:
-            self._on_give_up(self)
-            return
-        # No controller hook: requeue the task and let the frontier retry it.
-        run.active -= 1
-        run.pending.append(active.base)
-        run._undispatched += active.base
-        self._free_slots.append(slot)
-        self._fill_slots()
+    def _requeue(self, stage_run: Any, base: float) -> None:
+        stage_run.requeue(base)
 
-    def _make_retry_callback(self, slot: int) -> Callable[[Simulator], None]:
-        def _callback(_sim: Simulator) -> None:
-            if not self.running:
-                return
-            entry = self._retries.pop(slot, None)
-            if entry is None:
-                return
-            _event, base, attempt, run = entry
-            # pop_task() already counted this task in-flight on the first
-            # attempt; re-dispatch directly without touching the stage state.
-            self._start_task(slot, run, base, attempt)
+    # ------------------------------------------------------------------ spans
+    def _task_span_parent(self, active: _ActiveTask) -> Tuple[int, int]:
+        run = active.stage_run
+        return run.span_id, run.index
 
-        return _callback
-
-    def _requeue_lost_task(self, run: StageRun, base: float) -> None:
-        run.active -= 1
-        run.pending.append(base)
-        run._undispatched += base
-
-    def on_worker_crash(self, worker: int) -> None:
-        """Requeue every task the crashed worker was running or retrying."""
-        if not self.running:
-            return
-        self._emit_fault_span("crash", slot=-1)
-        dead = set(self.cluster.worker_slots(worker))
-        for slot in sorted(dead):
-            active = self._active.pop(slot, None)
-            if active is not None:
-                active.event.cancel()
-                if active.span_id:
-                    self._emit_task_span(active, outcome="crashed")
-                if active.stage_run is not None:
-                    self._requeue_lost_task(active.stage_run, active.base)
-                continue
-            entry = self._retries.pop(slot, None)
-            if entry is not None:
-                event, base, _attempt, run = entry
-                event.cancel()
-                self._requeue_lost_task(run, base)
-        self._free_slots = [s for s in self._free_slots if s not in dead]
-        self._fill_slots()
-
-    def on_worker_repair(self, worker: int) -> None:
-        """Return the repaired worker's slots to the free pool."""
-        if not self.running:
-            return
-        for slot in self.cluster.worker_slots(worker):
-            if (
-                slot not in self._active
-                and slot not in self._retries
-                and slot not in self._free_slots
-            ):
-                self._free_slots.append(slot)
-        self._fill_slots()
-
-    def _emit_fault_span(self, name: str, slot: int) -> None:
-        if not self.telemetry.tracing:
-            return
-        now = self.sim.now
+    def _emit_setup_span(self, outcome: str = "completed") -> None:
+        span_id, started = self._setup_span  # type: ignore[misc]
+        self._setup_span = None
         self.telemetry.emit(
             "span",
-            now,
+            self.sim.now,
             src=self.telemetry_src,
-            span_id=self.telemetry.new_span_id(),
+            span_id=span_id,
             parent_id=self.trace_parent,
-            name=name,
-            cat="fault",
-            start=now,
+            name="setup",
+            cat="stage",
+            start=started,
             job_id=self.job.job_id,
-            slot=slot,
+            stage=-1,
+            parents="",
+            outcome=outcome,
         )
 
-    def _finish(self) -> None:
-        now = self.sim.now
-        self._accumulate_sprint(now)
-        self.completed = True
-        self.completion_time = now
-        self.on_complete(self)
+    def _emit_stage_span(self, run: StageRun, outcome: str = "completed") -> None:
+        self.telemetry.emit(
+            "span",
+            self.sim.now,
+            src=self.telemetry_src,
+            span_id=run.span_id,
+            parent_id=self.trace_parent,
+            name="stage",
+            cat="stage",
+            start=run.activated_at,
+            job_id=self.job.job_id,
+            stage=run.index,
+            parents=",".join(str(p) for p in run.stage.parents),
+            pred=self.analysis.durations[run.index],
+            outcome=outcome,
+        )

@@ -12,9 +12,9 @@ two cores each, HDFS storage).  This subpackage models that substrate:
 * :mod:`repro.engine.cluster` — the cluster (computing slots + DVFS state).
 * :mod:`repro.engine.dvfs` — the frequency/speedup model for sprinting.
 * :mod:`repro.engine.energy` — the power model and energy meter.
-* :mod:`repro.engine.execution` — wave-based execution of a job on the cluster
-  slots inside the discrete-event simulator, with mid-flight speed changes and
-  eviction support.
+* :mod:`repro.engine.execution` — the slot machine both execution engines
+  share (task dispatch, mid-flight speed changes, eviction, retries, crash
+  recovery) and the wave-based linear engine built on it.
 """
 
 from repro.engine.cluster import Cluster, ClusterConfig

@@ -1,37 +1,45 @@
-"""Wave-based execution of a job on the cluster inside the simulator.
+"""Execution of one job on the cluster inside the simulator.
 
-A job executes as a sequence of *phases*: the setup (overhead) stage, then for
-each map/reduce stage pair the map tasks, the shuffle, and the reduce tasks.
-Task phases run their tasks on the cluster's ``C`` computing slots, which
-naturally produces the wave behaviour the paper's Section 4.2 models
-(``⌈tasks/slots⌉`` waves when task times are similar).
+Both job shapes run on one slot machine, :class:`SlotExecution`.  It
+dispatches tasks onto the cluster's ``C`` computing slots and carries every
+in-flight task through the two dynamic operations DiAS needs:
 
-The execution object supports the two dynamic operations DiAS needs:
+* ``set_speed`` — a cluster-wide DVFS change (sprint start or stop) rescales
+  the completion times of all in-flight tasks;
+* ``evict`` — preemptive eviction cancels all in-flight work; the wall-clock
+  time burned by the attempt is returned so the simulator can account
+  resource waste (the job restarts from scratch later, as in the paper's
+  SIGKILL-based prototype).
 
-* :meth:`JobExecution.set_speed` — a cluster-wide DVFS change (sprint start or
-  stop) rescales the completion times of all in-flight tasks.
-* :meth:`JobExecution.evict` — preemptive eviction cancels all in-flight work;
-  the wall-clock time burned by the attempt is returned so the simulator can
-  account resource waste (the job restarts from scratch later, as in the
-  paper's SIGKILL-based prototype).
+Under an optional fault injector it also handles straggler slowdowns,
+transient-failure retries with backoff and worker crashes.  Two engines
+subclass it and decide only which task a free slot serves next:
+:class:`JobExecution` here, and :class:`~repro.dag.execution.DagExecution`
+for stage DAGs.
 
-Between two such interrupts the attempt's timeline is a fixed list schedule,
+:class:`JobExecution` runs a linear job as a sequence of *phases*: the setup
+(overhead) stage, then for each map/reduce stage pair the map tasks, the
+shuffle, and the reduce tasks.  Task phases run their tasks on the ``C``
+slots, which naturally produces the wave behaviour the paper's Section 4.2
+models (``⌈tasks/slots⌉`` waves when task times are similar).
+
+Between two interrupts a linear attempt's timeline is a fixed list schedule,
 so by default it is computed in closed form rather than one kernel event per
 task: a local min-heap of slot free times replays the tasks in dispatch order
 with the kernel's own ``now + duration / speed`` arithmetic, and a single
 kernel event fires at the attempt's end (§4.2's ``⌈tasks/slots⌉`` waves are
 the analytic form of the same schedule).  Runs with a fault injector or with
-span tracing keep the event-per-task path, which needs per-task identities
-(slots, retries, speculative copies, task spans).  Both paths produce the
-same completion times bit for bit.
+span tracing take the per-task path, which needs per-task identities (slots,
+retries, speculative copies, task spans).  Both paths produce the same
+completion times bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.cluster import Cluster
 from repro.engine.job import Job, effective_task_count, list_schedule
@@ -57,6 +65,25 @@ class ExecutionPhase:
         return float(sum(self.durations))
 
 
+def kept_task_durations(
+    durations: Sequence[float],
+    stage: Any,
+    kept_indices: Optional[Mapping[int, Sequence[int]]],
+    drop_ratio: float,
+) -> List[float]:
+    """Durations of the tasks of ``stage`` that run under a drop plan.
+
+    Explicit kept-task indices (from the dropper) take precedence; otherwise
+    a droppable stage keeps its first ``⌈n(1 − θ)⌉`` tasks and a
+    non-droppable one keeps them all.
+    """
+    if kept_indices is not None and stage.index in kept_indices:
+        return [durations[i] for i in kept_indices[stage.index]]
+    if not stage.droppable:
+        return list(durations)
+    return list(durations[: effective_task_count(len(durations), drop_ratio)])
+
+
 def build_phases(
     job: Job,
     map_drop_ratio: float = 0.0,
@@ -64,11 +91,9 @@ def build_phases(
     kept_map_indices: Optional[Dict[int, Sequence[int]]] = None,
     kept_reduce_indices: Optional[Dict[int, Sequence[int]]] = None,
 ) -> List[ExecutionPhase]:
-    """Build the execution phases of ``job`` under the given drop ratios.
+    """Build the execution phases of ``job`` under the given drop plan.
 
-    If explicit kept-task indices are provided (from the dropper), they take
-    precedence; otherwise the first ``⌈n(1 − θ)⌉`` tasks of each droppable
-    stage are kept.  Non-droppable stages always keep all their tasks.
+    Each stage runs the tasks :func:`kept_task_durations` keeps.
     """
     phases: List[ExecutionPhase] = [
         ExecutionPhase(
@@ -79,20 +104,12 @@ def build_phases(
         )
     ]
     for stage in job.stages:
-        stage_map_drop = map_drop_ratio if stage.droppable else 0.0
-        stage_reduce_drop = reduce_drop_ratio if stage.droppable else 0.0
-        if kept_map_indices is not None and stage.index in kept_map_indices:
-            map_durations = [stage.map_task_times[i] for i in kept_map_indices[stage.index]]
-        else:
-            keep = effective_task_count(stage.num_map_tasks, stage_map_drop)
-            map_durations = list(stage.map_task_times[:keep])
-        if kept_reduce_indices is not None and stage.index in kept_reduce_indices:
-            reduce_durations = [
-                stage.reduce_task_times[i] for i in kept_reduce_indices[stage.index]
-            ]
-        else:
-            keep = effective_task_count(stage.num_reduce_tasks, stage_reduce_drop)
-            reduce_durations = list(stage.reduce_task_times[:keep])
+        map_durations = kept_task_durations(
+            stage.map_task_times, stage, kept_map_indices, map_drop_ratio
+        )
+        reduce_durations = kept_task_durations(
+            stage.reduce_task_times, stage, kept_reduce_indices, reduce_drop_ratio
+        )
         if map_durations:
             phases.append(
                 ExecutionPhase("map", stage.index, map_durations, parallel=True)
@@ -112,26 +129,26 @@ def build_phases(
 
 @dataclass
 class _ActiveTask:
-    """Book-keeping for one in-flight task on one slot.
+    """Book-keeping for one in-flight task attempt on one slot.
 
-    ``scheduled_at`` is reset on every DVFS reschedule (it anchors the
-    remaining-work computation); ``started_at`` keeps the task's original
-    dispatch time across speed changes for span tracing, and ``span_id`` is
-    the task's pre-allocated trace span (0 when tracing is off).
+    ``started_at`` keeps the attempt's dispatch time across DVFS reschedules
+    for span tracing, ``span_id`` is its pre-allocated trace span (0 when
+    tracing is off) and ``stage_run`` the DAG stage it belongs to (``None``
+    for linear jobs and for the DAG setup task).
 
     The remaining fields only carry information under fault injection:
-    ``base`` is the task's nominal duration (before straggler slowdown, the
-    amount re-queued if the hosting worker crashes), ``attempt`` counts
-    executions of this task on this slot, ``will_fail`` marks a transient
-    failure drawn at dispatch time, ``spec_event`` is the pending
-    speculation-check event of a straggling task, and ``copy_of`` /
-    ``copy_slot`` link a speculative copy to its straggling primary.
+    ``base`` is the task's nominal duration (before straggler slowdown; what
+    a retry or a crash requeue runs again), ``attempt`` counts executions of
+    this task on this slot, ``will_fail`` marks a transient failure drawn at
+    dispatch time, ``spec_event`` is the pending speculation check of a
+    straggling linear task, and ``copy_of`` / ``copy_slot`` link a
+    speculative copy to its straggling primary.
     """
 
     slot: int
     event: Event
     speed: float
-    scheduled_at: float
+    stage_run: Any = None
     started_at: float = 0.0
     span_id: int = 0
     base: float = 0.0
@@ -142,8 +159,390 @@ class _ActiveTask:
     copy_slot: int = -1
 
 
-class JobExecution:
-    """Executes one job's phases on the cluster within the simulator."""
+class SlotExecution:
+    """The per-task slot machinery both execution engines share.
+
+    A subclass decides which task a free slot serves next
+    (:meth:`_fill_slots`), what a finished task advances
+    (:meth:`_task_finished`), where a task lost to a crash goes back
+    (:meth:`_requeue`) and which span a task span hangs under
+    (:meth:`_task_span_parent`).  It also defines the kernel callbacks
+    ``_make_task_callback`` and ``_make_retry_callback`` itself, so event
+    profilers attribute task events to the engine that ran them.
+
+    ``faults`` is an optional :class:`~repro.faults.injector.FaultInjector`
+    and requires ``on_give_up``, which is called with the execution when a
+    task exhausts its transient-failure retries (the controller escalates to
+    a job-level re-execution).
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        cluster: Cluster,
+        job: Any,
+        on_complete: Callable[[Any], None],
+        telemetry: TelemetryHub,
+        telemetry_src: str,
+        trace_parent: int,
+        faults,
+        on_give_up: Optional[Callable[[Any], None]],
+    ) -> None:
+        if faults is not None and on_give_up is None:
+            raise ValueError(
+                "a fault injector needs an on_give_up hook for tasks that "
+                "exhaust their retries"
+            )
+        self.sim = sim
+        self.cluster = cluster
+        self.job = job
+        self.on_complete = on_complete
+        self.telemetry = telemetry
+        self.telemetry_src = telemetry_src
+        #: Span id of the enclosing attempt span when tracing (0 otherwise).
+        self.trace_parent = trace_parent
+        self._faults = faults
+        self._on_give_up = on_give_up
+
+        self._active: Dict[int, _ActiveTask] = {}
+        self._free_slots: List[int] = []
+        #: slot -> (backoff Event, nominal duration, next attempt, stage run)
+        #: for tasks waiting out a retry backoff.
+        self._retries: Dict[int, tuple] = {}
+
+        self.started = False
+        self.completed = False
+        self.evicted = False
+        self.start_time: Optional[float] = None
+        self.completion_time: Optional[float] = None
+
+        self._speed = 1.0
+        self._speed_since: Optional[float] = None
+        self.sprinted_time = 0.0
+
+    # --------------------------------------------------------------- queries
+    @property
+    def running(self) -> bool:
+        return self.started and not self.completed and not self.evicted
+
+    @property
+    def elapsed(self) -> float:
+        """Wall time of this attempt so far (or total, once completed)."""
+        if self.start_time is None:
+            return 0.0
+        end = self.completion_time if self.completion_time is not None else self.sim.now
+        return end - self.start_time
+
+    @property
+    def speed(self) -> float:
+        return self._speed
+
+    # ------------------------------------------------------ engine interface
+    def _fill_slots(self) -> None:
+        """Dispatch pending tasks onto the free slots."""
+        raise NotImplementedError
+
+    def _task_finished(self, active: _ActiveTask) -> None:
+        """``active`` is done and its slot is free again: continue the job."""
+        raise NotImplementedError
+
+    def _requeue(self, stage_run: Any, base: float) -> None:
+        """Put a task lost to a worker crash back into the pending work."""
+        raise NotImplementedError
+
+    def _task_span_parent(self, active: _ActiveTask) -> Tuple[int, int]:
+        """(parent span id, stage index) of ``active``'s task span."""
+        raise NotImplementedError
+
+    def _on_straggler(self, active: _ActiveTask) -> None:
+        """``active`` was drawn to straggle; only linear jobs speculate."""
+
+    # ---------------------------------------------------------------- control
+    def _begin(self, speed: Optional[float]) -> None:
+        """Mark the attempt started now, at ``speed`` (default: the cluster's)."""
+        if self.started:
+            raise RuntimeError(f"{type(self).__name__} already started")
+        self.started = True
+        self.start_time = self.sim.now
+        self._speed = float(speed) if speed is not None else self.cluster.speed
+        self._speed_since = self.sim.now
+
+    def _change_speed(self, speed: float) -> Optional[float]:
+        """Switch to ``speed``; returns the old speed if in-flight work must be rescaled."""
+        if speed <= 0:
+            raise ValueError("speed must be positive")
+        if not self.running:
+            self._speed = float(speed)
+            self._speed_since = self.sim.now
+            return None
+        self._accumulate_sprint(self.sim.now)
+        old_speed = self._speed
+        self._speed = float(speed)
+        return None if old_speed == speed else old_speed
+
+    def _rescale_tasks(self) -> None:
+        """Reschedule every in-flight task to run its remaining work at the new speed."""
+        now = self.sim.now
+        speed = self._speed
+        for slot, active in self._active.items():
+            remaining_work = max(0.0, active.event.time - now) * active.speed
+            active.event.cancel()
+            # Mutate in place so fault bookkeeping (attempt, pending
+            # speculation check, copy links) survives DVFS transitions.
+            active.event = self.sim.schedule(
+                remaining_work / speed, self._make_task_callback(slot), priority=1
+            )
+            active.speed = speed
+
+    def _evict_tasks(self) -> float:
+        """Cancel every in-flight task and backoff; returns the attempt's wasted wall time."""
+        if not self.running:
+            raise RuntimeError(
+                f"cannot evict a {type(self).__name__} that is not running"
+            )
+        now = self.sim.now
+        self._accumulate_sprint(now)
+        for active in self._active.values():
+            if active.span_id:
+                self._emit_task_span(active, outcome="evicted")
+            active.event.cancel()
+            if active.spec_event is not None:
+                active.spec_event.cancel()
+        self._active.clear()
+        for entry in self._retries.values():
+            entry[0].cancel()
+        self._retries.clear()
+        self.evicted = True
+        return now - self.start_time
+
+    def _accumulate_sprint(self, now: float) -> None:
+        if self._speed_since is not None and self._speed > 1.0:
+            self.sprinted_time += now - self._speed_since
+        self._speed_since = now
+
+    def _finish(self) -> None:
+        now = self.sim.now
+        self._accumulate_sprint(now)
+        self.completed = True
+        self.completion_time = now
+        self.on_complete(self)
+
+    # ------------------------------------------------------- task life cycle
+    def _start_task(
+        self, slot: int, stage_run: Any, base: float, attempt: int = 1
+    ) -> None:
+        """Dispatch one attempt of a task of nominal duration ``base`` on ``slot``.
+
+        Under fault injection the slowdown is drawn first, then the failure,
+        so the fault streams advance the same whatever the scheduling order.
+        """
+        faults = self._faults
+        slowdown = 1.0
+        will_fail = False
+        if faults is not None:
+            slowdown = faults.draw_slowdown()
+            will_fail = faults.draw_task_failure()
+        speed = self._speed
+        active = _ActiveTask(
+            slot,
+            self.sim.schedule(
+                base * slowdown / speed, self._make_task_callback(slot), priority=1
+            ),
+            speed,
+            stage_run,
+            self.sim.now,
+            self.telemetry.new_span_id() if self.telemetry.tracing else 0,
+            base,
+            attempt,
+            will_fail,
+        )
+        self._active[slot] = active
+        if slowdown > 1.0:
+            if self.telemetry.enabled:
+                self.telemetry.emit(
+                    "fault.straggler",
+                    self.sim.now,
+                    src=self.telemetry_src,
+                    job_id=self.job.job_id,
+                    slot=slot,
+                    slowdown=slowdown,
+                )
+            self._on_straggler(active)
+
+    def _on_task_done(self, slot: int) -> None:
+        if not self.running:
+            return
+        active = self._active.pop(slot, None)
+        if active is None:
+            return
+        if active.spec_event is not None:
+            active.spec_event.cancel()
+            active.spec_event = None
+        if active.will_fail:
+            self._on_task_failed(active)
+            return
+        # First finisher of a primary/copy pair wins; the loser is cancelled
+        # through the kernel's existing cancellation path.
+        twin_slot = active.copy_of if active.copy_of >= 0 else active.copy_slot
+        if twin_slot >= 0:
+            loser = self._active.pop(twin_slot, None)
+            if loser is not None:
+                loser.event.cancel()
+                if loser.spec_event is not None:
+                    loser.spec_event.cancel()
+                if loser.span_id:
+                    self._emit_task_span(loser, outcome="cancelled")
+                self._free_slots.append(loser.slot)
+        if active.span_id:
+            self._emit_task_span(active)
+        self._free_slots.append(slot)
+        self._task_finished(active)
+
+    def _on_task_failed(self, active: _ActiveTask) -> None:
+        """A transient failure drawn at dispatch surfaced at the task's end."""
+        faults = self._faults
+        slot = active.slot
+        faults.note_task_failure()
+        if self.telemetry.enabled:
+            self.telemetry.emit(
+                "fault.task_fail",
+                self.sim.now,
+                src=self.telemetry_src,
+                job_id=self.job.job_id,
+                slot=slot,
+                attempt=active.attempt,
+            )
+        if active.span_id:
+            self._emit_task_span(active, outcome="failed")
+        if active.copy_slot >= 0 and active.copy_slot in self._active:
+            # The failed primary had a live speculative copy: the copy takes
+            # over ownership of the task, the primary just retires.
+            self._active[active.copy_slot].copy_of = -1
+            self._free_slots.append(slot)
+            self._task_finished(active)
+            return
+        if active.attempt > faults.max_retries:
+            self._on_give_up(self)
+            return
+        delay = faults.retry_delay(active.attempt)
+        faults.note_retry()
+        if self.telemetry.enabled:
+            self.telemetry.emit(
+                "fault.retry",
+                self.sim.now,
+                src=self.telemetry_src,
+                job_id=self.job.job_id,
+                slot=slot,
+                attempt=active.attempt + 1,
+                delay=delay,
+            )
+        self._emit_fault_span("retry", slot)
+        # The slot sits out the backoff: neither free nor active (and a DAG
+        # stage keeps counting the task in flight, so it cannot advance).
+        event = self.sim.schedule(delay, self._make_retry_callback(slot), priority=1)
+        self._retries[slot] = (event, active.base, active.attempt + 1, active.stage_run)
+
+    def _retry_task(self, slot: int) -> None:
+        """A retry backoff ran out: start the task's next attempt on ``slot``."""
+        if not self.running:
+            return
+        entry = self._retries.pop(slot, None)
+        if entry is None:
+            return
+        _event, base, attempt, stage_run = entry
+        self._start_task(slot, stage_run, base, attempt)
+
+    # ---------------------------------------------------------- worker faults
+    def on_worker_crash(self, worker: int) -> None:
+        """Re-queue in-flight work lost to a worker crash.
+
+        Tasks running (or backing off) on the crashed worker's slots go back
+        to the pending work at their nominal duration — the work done so far
+        is lost — and the slots leave the free pool until the repair.  A
+        straggler/copy pair degrades gracefully: the surviving side keeps
+        running and takes ownership.
+        """
+        if not self.running:
+            return
+        self._emit_fault_span("crash", slot=-1)
+        dead = self.cluster.worker_slots(worker)
+        for slot in dead:
+            active = self._active.pop(slot, None)
+            if active is not None:
+                active.event.cancel()
+                if active.spec_event is not None:
+                    active.spec_event.cancel()
+                if active.span_id:
+                    self._emit_task_span(active, outcome="crashed")
+                if active.copy_of >= 0:
+                    partner = self._active.get(active.copy_of)
+                    if partner is not None:
+                        partner.copy_slot = -1
+                elif active.copy_slot >= 0 and active.copy_slot in self._active:
+                    self._active[active.copy_slot].copy_of = -1
+                else:
+                    self._requeue(active.stage_run, active.base)
+                continue
+            entry = self._retries.pop(slot, None)
+            if entry is not None:
+                event, base, _attempt, stage_run = entry
+                event.cancel()
+                self._requeue(stage_run, base)
+        self._free_slots = [s for s in self._free_slots if s not in dead]
+        self._fill_slots()
+
+    def on_worker_repair(self, worker: int) -> None:
+        """Return a repaired worker's slots to the free pool and continue."""
+        if not self.running:
+            return
+        for slot in self.cluster.worker_slots(worker):
+            if (
+                slot not in self._active
+                and slot not in self._retries
+                and slot not in self._free_slots
+            ):
+                self._free_slots.append(slot)
+        self._fill_slots()
+
+    # ------------------------------------------------------------------ spans
+    def _emit_task_span(self, active: _ActiveTask, outcome: str = "completed") -> None:
+        parent_id, stage = self._task_span_parent(active)
+        self.telemetry.emit(
+            "span",
+            self.sim.now,
+            src=self.telemetry_src,
+            span_id=active.span_id,
+            parent_id=parent_id,
+            name="task",
+            cat="task",
+            start=active.started_at,
+            job_id=self.job.job_id,
+            slot=active.slot,
+            stage=stage,
+            outcome=outcome,
+        )
+
+    def _emit_fault_span(self, name: str, slot: int) -> None:
+        """Instant fault annotation attached to the attempt span (when tracing)."""
+        if not self.telemetry.tracing:
+            return
+        now = self.sim.now
+        self.telemetry.emit(
+            "span",
+            now,
+            src=self.telemetry_src,
+            span_id=self.telemetry.new_span_id(),
+            parent_id=self.trace_parent,
+            name=name,
+            cat="fault",
+            start=now,
+            job_id=self.job.job_id,
+            slot=slot,
+        )
+
+
+class JobExecution(SlotExecution):
+    """Executes one linear job's phases on the cluster within the simulator."""
 
     def __init__(
         self,
@@ -160,41 +559,23 @@ class JobExecution:
     ) -> None:
         if not phases:
             raise ValueError("a job execution needs at least one phase")
-        self.sim = sim
-        self.cluster = cluster
-        self.job = job
+        super().__init__(
+            sim,
+            cluster,
+            job,
+            on_complete,
+            telemetry,
+            telemetry_src,
+            trace_parent,
+            faults,
+            on_give_up,
+        )
         self.phases = list(phases)
-        self.on_complete = on_complete
-        self.telemetry = telemetry
-        self.telemetry_src = telemetry_src
-        #: Optional :class:`~repro.faults.injector.FaultInjector`; ``None``
-        #: keeps every per-task code path on the historical fast branch.
-        self._faults = faults
-        #: Called when a task exhausts its transient-failure retries; the
-        #: controller escalates to a job-level re-execution.
-        self._on_give_up = on_give_up
-        #: slot -> (backoff Event, nominal duration, next attempt) for tasks
-        #: waiting out a retry backoff (fault injection only).
-        self._retries: Dict[int, tuple] = {}
-        #: Span id of the enclosing attempt span when tracing (0 otherwise);
-        #: wave spans attach to it, task spans to their wave span.
-        self.trace_parent = trace_parent
+        #: (span id, start) of the open wave span when tracing; wave spans
+        #: attach to the attempt span, task spans to their wave span.
         self._phase_span: Optional[tuple] = None
-
         self._phase_index = -1
         self._pending: List[float] = []
-        self._active: Dict[int, _ActiveTask] = {}
-        self._free_slots: List[int] = []
-
-        self.started = False
-        self.completed = False
-        self.evicted = False
-        self.start_time: Optional[float] = None
-        self.completion_time: Optional[float] = None
-
-        self._speed = 1.0
-        self._speed_since: Optional[float] = None
-        self.sprinted_time = 0.0
 
         #: Closed-form timeline (no faults, no tracing): the in-flight state
         #: at the last interrupt as (phase index, min-heap of the running
@@ -206,19 +587,6 @@ class JobExecution:
         self._end_event: Optional[Event] = None
         self._start_stamp = -1
 
-    # --------------------------------------------------------------- queries
-    @property
-    def running(self) -> bool:
-        return self.started and not self.completed and not self.evicted
-
-    @property
-    def elapsed(self) -> float:
-        """Wall time of this attempt so far (or total, once completed)."""
-        if self.start_time is None:
-            return 0.0
-        end = self.completion_time if self.completion_time is not None else self.sim.now
-        return end - self.start_time
-
     @property
     def current_phase(self) -> Optional[ExecutionPhase]:
         index = self._phase_index
@@ -228,104 +596,53 @@ class JobExecution:
             return self.phases[index]
         return None
 
-    @property
-    def speed(self) -> float:
-        return self._speed
-
     # ---------------------------------------------------------------- control
     def start(self, speed: Optional[float] = None) -> None:
         """Begin executing the job at the current simulation time."""
-        if self.started:
-            raise RuntimeError("job execution already started")
-        self.started = True
-        self.start_time = self.sim.now
-        self._speed = float(speed) if speed is not None else self.cluster.speed
-        self._speed_since = self.sim.now
-        if self._closed_form:
-            self._start_stamp = self.sim.processed_events
-            self._segment = self._open_phase(0, self.sim.now, self._speed)
-            if self._segment[1]:
-                self._schedule_end()
-            else:
-                self._finish()
+        self._begin(speed)
+        if not self._closed_form:
+            self._advance_phase()
             return
-        self._free_slots = (
-            list(range(self.cluster.slots))
-            if self._faults is None
-            else self.cluster.free_slot_ids()
-        )
-        self._advance_phase()
+        self._start_stamp = self.sim.processed_events
+        self._segment = self._open_phase(0, self.sim.now, self._speed)
+        if self._segment[1]:
+            self._schedule_end()
+        else:
+            self._finish()
 
     def set_speed(self, speed: float) -> None:
         """Apply a cluster-wide speed change (DVFS) to all in-flight tasks."""
-        if speed <= 0:
-            raise ValueError("speed must be positive")
-        if not self.running:
-            self._speed = float(speed)
-            self._speed_since = self.sim.now
+        old_speed = self._change_speed(speed)
+        if old_speed is None:
+            return
+        if not self._closed_form:
+            self._rescale_tasks()
             return
         now = self.sim.now
-        self._accumulate_sprint(now)
-        old_speed = self._speed
-        self._speed = float(speed)
-        self._speed_since = now
-        if old_speed == speed:
-            return
-        if self._closed_form:
-            # Interrupts fire at priority 2, after every task completion of
-            # their instant (priority 1), so tasks finishing at ``now`` are
-            # done -- except inside the dispatching event itself (a sprint at
-            # dispatch), where no completion has fired yet.
-            in_dispatch = self.sim.processed_events == self._start_stamp
-            index, heap, next_task = self._state_at(now, old_speed, not in_dispatch)
-            # The event-per-task path's rescaling, term for term; the map is
-            # monotone, so the heap stays a heap.
-            heap = [now + max(0.0, f - now) * old_speed / speed for f in heap]
-            self._segment = (index, heap, next_task)
-            self._end_event.cancel()
-            self._schedule_end()
-            return
-        for slot, active in list(self._active.items()):
-            remaining_wall = max(0.0, active.event.time - now)
-            remaining_work = remaining_wall * active.speed
-            active.event.cancel()
-            # Mutate in place so fault bookkeeping (attempt, pending
-            # speculation check, copy links) survives DVFS transitions.
-            active.event = self.sim.schedule(
-                remaining_work / speed, self._make_task_callback(slot), priority=1
-            )
-            active.speed = speed
-            active.scheduled_at = now
+        # Interrupts fire at priority 2, after every task completion of
+        # their instant (priority 1), so tasks finishing at ``now`` are
+        # done -- except inside the dispatching event itself (a sprint at
+        # dispatch), where no completion has fired yet.
+        in_dispatch = self.sim.processed_events == self._start_stamp
+        index, heap, next_task = self._state_at(now, old_speed, not in_dispatch)
+        # The per-task path's rescaling, term for term; the map is
+        # monotone, so the heap stays a heap.
+        speed = self._speed
+        heap = [now + max(0.0, f - now) * old_speed / speed for f in heap]
+        self._segment = (index, heap, next_task)
+        self._end_event.cancel()
+        self._schedule_end()
 
     def evict(self) -> float:
         """Cancel all in-flight work; returns the wasted wall time of the attempt."""
-        if not self.running:
-            raise RuntimeError("cannot evict a job execution that is not running")
-        now = self.sim.now
-        self._accumulate_sprint(now)
-        if self._closed_form:
+        wasted = self._evict_tasks()
+        if self._end_event is not None:
             self._end_event.cancel()
             self._end_event = None
-            self.evicted = True
-            return now - self.start_time
-        if self.telemetry.tracing:
-            for active in self._active.values():
-                if active.span_id:
-                    self._emit_task_span(active, outcome="evicted")
-            if self._phase_span is not None:
-                self._close_phase_span(outcome="evicted")
-        for active in self._active.values():
-            active.event.cancel()
-            if active.spec_event is not None:
-                active.spec_event.cancel()
-        self._active.clear()
+        if self._phase_span is not None:
+            self._close_phase_span(outcome="evicted")
         self._pending.clear()
-        if self._retries:
-            for event, _base, _attempt in self._retries.values():
-                event.cancel()
-            self._retries.clear()
-        self.evicted = True
-        return now - (self.start_time if self.start_time is not None else now)
+        return wasted
 
     # ------------------------------------------------------ closed-form path
     def _open_phase(
@@ -390,11 +707,67 @@ class JobExecution:
         self._end_event = None
         self._finish()
 
-    # -------------------------------------------------------------- internals
-    def _accumulate_sprint(self, now: float) -> None:
-        if self._speed_since is not None and self._speed > 1.0:
-            self.sprinted_time += now - self._speed_since
-        self._speed_since = now
+    # --------------------------------------------------------- per-task path
+    def _make_task_callback(self, slot: int) -> Callable[[Simulator], None]:
+        def _callback(_sim: Simulator) -> None:
+            self._on_task_done(slot)
+
+        return _callback
+
+    def _make_retry_callback(self, slot: int) -> Callable[[Simulator], None]:
+        def _callback(_sim: Simulator) -> None:
+            self._retry_task(slot)
+
+        return _callback
+
+    def _advance_phase(self) -> None:
+        if self._phase_span is not None:
+            self._close_phase_span()
+        self._phase_index += 1
+        if self._phase_index >= len(self.phases):
+            self._finish()
+            return
+        phase = self.phases[self._phase_index]
+        if not phase.durations:
+            self._advance_phase()
+            return
+        if self.telemetry.tracing:
+            self._phase_span = (self.telemetry.new_span_id(), self.sim.now)
+        self._pending = list(phase.durations)
+        self._free_slots = self.cluster.free_slot_ids()
+        slots_to_fill = len(self._free_slots) if phase.parallel else 1
+        for _ in range(min(slots_to_fill, len(self._pending))):
+            self._dispatch_next_task()
+
+    def _dispatch_next_task(self) -> None:
+        if not self._pending or not self._free_slots:
+            return
+        slot = self._free_slots.pop()
+        self._start_task(slot, None, self._pending.pop(0))
+
+    def _task_finished(self, active: _ActiveTask) -> None:
+        """Hand the freed slot to the phase's next task, or open the next phase."""
+        busy = self._active or self._retries
+        if self._pending and (self.phases[self._phase_index].parallel or not busy):
+            self._dispatch_next_task()
+        elif not self._pending and not busy:
+            self._advance_phase()
+
+    def _fill_slots(self) -> None:
+        parallel = self.phases[self._phase_index].parallel
+        while self._pending and self._free_slots:
+            if not parallel and (self._active or self._retries):
+                return
+            self._dispatch_next_task()
+        if not self._pending and not self._active and not self._retries:
+            self._advance_phase()
+
+    def _requeue(self, stage_run: Any, base: float) -> None:
+        self._pending.append(base)
+
+    def _task_span_parent(self, active: _ActiveTask) -> Tuple[int, int]:
+        parent_id = self._phase_span[0] if self._phase_span else self.trace_parent
+        return parent_id, self.phases[self._phase_index].stage_index
 
     def _close_phase_span(self, outcome: str = "completed") -> None:
         span_id, started = self._phase_span  # type: ignore[misc]
@@ -415,125 +788,18 @@ class JobExecution:
             outcome=outcome,
         )
 
-    def _emit_fault_span(self, name: str, slot: int) -> None:
-        """Instant fault annotation attached to the current attempt span."""
-        now = self.sim.now
-        self.telemetry.emit(
-            "span",
-            now,
-            src=self.telemetry_src,
-            span_id=self.telemetry.new_span_id(),
-            parent_id=self.trace_parent,
-            name=name,
-            cat="fault",
-            start=now,
-            job_id=self.job.job_id,
-            slot=slot,
-        )
-
-    def _emit_task_span(self, active: _ActiveTask, outcome: str = "completed") -> None:
-        phase = self.current_phase
-        self.telemetry.emit(
-            "span",
-            self.sim.now,
-            src=self.telemetry_src,
-            span_id=active.span_id,
-            parent_id=self._phase_span[0] if self._phase_span else self.trace_parent,
-            name="task",
-            cat="task",
-            start=active.started_at,
-            job_id=self.job.job_id,
-            slot=active.slot,
-            stage=phase.stage_index if phase is not None else -1,
-            outcome=outcome,
-        )
-
-    def _advance_phase(self) -> None:
-        if self._phase_span is not None:
-            self._close_phase_span()
-        self._phase_index += 1
-        if self._phase_index >= len(self.phases):
-            self._finish()
-            return
-        phase = self.phases[self._phase_index]
-        if not phase.durations:
-            self._advance_phase()
-            return
-        if self.telemetry.tracing:
-            self._phase_span = (self.telemetry.new_span_id(), self.sim.now)
-        self._pending = list(phase.durations)
-        self._free_slots = (
-            list(range(self.cluster.slots))
-            if self._faults is None
-            else self.cluster.free_slot_ids()
-        )
-        slots_to_fill = len(self._free_slots) if phase.parallel else 1
-        for _ in range(min(slots_to_fill, len(self._pending))):
-            self._dispatch_next_task()
-
-    def _dispatch_next_task(self) -> None:
-        if not self._pending or not self._free_slots:
-            return
-        slot = self._free_slots.pop()
-        duration = self._pending.pop(0)
-        if self._faults is not None:
-            self._start_task(slot, duration, attempt=1)
-            return
-        now = self.sim.now
-        event = self.sim.schedule(
-            duration / self._speed, self._make_task_callback(slot), priority=1
-        )
-        self._active[slot] = _ActiveTask(
-            slot=slot,
-            event=event,
-            speed=self._speed,
-            scheduled_at=now,
-            started_at=now,
-            span_id=self.telemetry.new_span_id() if self.telemetry.tracing else 0,
-        )
-
-    # ------------------------------------------------------ fault machinery
-    def _start_task(self, slot: int, base: float, attempt: int) -> None:
-        """Dispatch one task under fault injection (slowdown/failure draws)."""
-        faults = self._faults
-        now = self.sim.now
-        slowdown = faults.draw_slowdown()
-        will_fail = faults.draw_task_failure()
-        event = self.sim.schedule(
-            base * slowdown / self._speed, self._make_task_callback(slot), priority=1
-        )
-        active = _ActiveTask(
-            slot=slot,
-            event=event,
-            speed=self._speed,
-            scheduled_at=now,
-            started_at=now,
-            span_id=self.telemetry.new_span_id() if self.telemetry.tracing else 0,
-            base=base,
-            attempt=attempt,
-            will_fail=will_fail,
-        )
-        self._active[slot] = active
-        if slowdown > 1.0:
-            if self.telemetry.enabled:
-                self.telemetry.emit(
-                    "fault.straggler",
-                    now,
-                    src=self.telemetry_src,
-                    job_id=self.job.job_id,
-                    slot=slot,
-                    slowdown=slowdown,
-                )
-            factor = faults.speculation_factor
-            if factor > 0.0:
-                # The speculation check fires once the task has overrun
-                # ``factor`` times its nominal duration; the check deadline
-                # is fixed at dispatch speed (DVFS changes don't move it).
-                active.spec_event = self.sim.schedule(
-                    base * factor / self._speed,
-                    self._make_speculation_callback(slot),
-                    priority=3,
-                )
+    # ----------------------------------------------------- speculative copies
+    def _on_straggler(self, active: _ActiveTask) -> None:
+        factor = self._faults.speculation_factor
+        if factor > 0.0:
+            # The speculation check fires once the task has overrun
+            # ``factor`` times its nominal duration; the check deadline is
+            # fixed at dispatch speed (DVFS changes don't move it).
+            active.spec_event = self.sim.schedule(
+                active.base * factor / self._speed,
+                self._make_speculation_callback(active.slot),
+                priority=3,
+            )
 
     def _make_speculation_callback(self, slot: int) -> Callable[[Simulator], None]:
         def _callback(_sim: Simulator) -> None:
@@ -560,7 +826,6 @@ class JobExecution:
             slot=copy_slot,
             event=event,
             speed=self._speed,
-            scheduled_at=now,
             started_at=now,
             span_id=self.telemetry.new_span_id() if self.telemetry.tracing else 0,
             base=active.base,
@@ -578,203 +843,4 @@ class JobExecution:
                 slot=slot,
                 copy_slot=copy_slot,
             )
-        if self.telemetry.tracing:
-            self._emit_fault_span("speculate", slot=slot)
-
-    def _make_task_callback(self, slot: int) -> Callable[[Simulator], None]:
-        def _callback(_sim: Simulator) -> None:
-            self._on_task_done(slot)
-
-        return _callback
-
-    def _on_task_done(self, slot: int) -> None:
-        if not self.running:
-            return
-        active = self._active.pop(slot, None)
-        if self._faults is not None:
-            if active is not None:
-                self._on_task_done_faults(active)
-            return
-        if active is not None and active.span_id:
-            self._emit_task_span(active)
-        self._free_slots.append(slot)
-        phase = self.current_phase
-        if self._pending and (phase is None or phase.parallel or not self._active):
-            self._dispatch_next_task()
-            return
-        if not self._pending and not self._active:
-            self._advance_phase()
-
-    def _on_task_done_faults(self, active: _ActiveTask) -> None:
-        """Completion handling under fault injection: retries and copies."""
-        faults = self._faults
-        slot = active.slot
-        if active.spec_event is not None:
-            active.spec_event.cancel()
-            active.spec_event = None
-        if active.will_fail:
-            faults.note_task_failure()
-            if self.telemetry.enabled:
-                self.telemetry.emit(
-                    "fault.task_fail",
-                    self.sim.now,
-                    src=self.telemetry_src,
-                    job_id=self.job.job_id,
-                    slot=slot,
-                    attempt=active.attempt,
-                )
-            if active.span_id:
-                self._emit_task_span(active, outcome="failed")
-            if active.copy_slot >= 0 and active.copy_slot in self._active:
-                # The failed primary had a live speculative copy: the copy
-                # takes over ownership of the task, the primary just retires.
-                self._active[active.copy_slot].copy_of = -1
-                self._release_slot(slot)
-                return
-            if active.attempt <= faults.max_retries:
-                delay = faults.retry_delay(active.attempt)
-                faults.note_retry()
-                if self.telemetry.enabled:
-                    self.telemetry.emit(
-                        "fault.retry",
-                        self.sim.now,
-                        src=self.telemetry_src,
-                        job_id=self.job.job_id,
-                        slot=slot,
-                        attempt=active.attempt + 1,
-                        delay=delay,
-                    )
-                if self.telemetry.tracing:
-                    self._emit_fault_span("retry", slot=slot)
-                # The slot sits out the backoff: not free, not active.
-                event = self.sim.schedule(
-                    delay, self._make_retry_callback(slot), priority=1
-                )
-                self._retries[slot] = (event, active.base, active.attempt + 1)
-                return
-            # Retries exhausted: escalate to a job-level re-execution if the
-            # controller gave us a hook, else re-queue as a fresh task.
-            if self._on_give_up is not None:
-                self._on_give_up(self)
-                return
-            self._pending.append(active.base)
-            self._release_slot(slot)
-            return
-        # Success.  First finisher of a primary/copy pair wins; the loser is
-        # cancelled through the kernel's existing cancellation path.
-        if active.copy_of >= 0:
-            primary = self._active.pop(active.copy_of, None)
-            if primary is not None:
-                primary.event.cancel()
-                if primary.spec_event is not None:
-                    primary.spec_event.cancel()
-                if primary.span_id:
-                    self._emit_task_span(primary, outcome="cancelled")
-                self._free_slots.append(primary.slot)
-        elif active.copy_slot >= 0:
-            copy = self._active.pop(active.copy_slot, None)
-            if copy is not None:
-                copy.event.cancel()
-                if copy.span_id:
-                    self._emit_task_span(copy, outcome="cancelled")
-                self._free_slots.append(copy.slot)
-        if active.span_id:
-            self._emit_task_span(active)
-        self._release_slot(slot)
-
-    def _make_retry_callback(self, slot: int) -> Callable[[Simulator], None]:
-        def _callback(_sim: Simulator) -> None:
-            if not self.running:
-                return
-            entry = self._retries.pop(slot, None)
-            if entry is None:
-                return
-            _event, base, attempt = entry
-            self._start_task(slot, base, attempt)
-
-        return _callback
-
-    def _release_slot(self, slot: int) -> None:
-        """Free ``slot`` and continue the wave (fault-injection path)."""
-        self._free_slots.append(slot)
-        phase = self.current_phase
-        if self._pending and (
-            phase is None or phase.parallel or not (self._active or self._retries)
-        ):
-            self._dispatch_next_task()
-            return
-        if not self._pending and not self._active and not self._retries:
-            self._advance_phase()
-
-    def _dispatch_pending(self) -> None:
-        """Fill free slots with pending tasks (crash/repair continuation)."""
-        phase = self.current_phase
-        while self._pending and self._free_slots:
-            if (
-                phase is not None
-                and not phase.parallel
-                and (self._active or self._retries)
-            ):
-                return
-            self._dispatch_next_task()
-        if not self._pending and not self._active and not self._retries:
-            self._advance_phase()
-
-    def on_worker_crash(self, worker: int) -> None:
-        """Re-queue in-flight work lost to a worker crash (wave re-execution).
-
-        Tasks running (or backing off) on the crashed worker's slots return
-        to the pending queue at their nominal duration — the work done so far
-        is lost — and the slots leave the free pool until the repair.  A
-        straggler/copy pair degrades gracefully: the surviving side keeps
-        running and takes ownership.
-        """
-        if not self.running:
-            return
-        if self.telemetry.tracing:
-            self._emit_fault_span("crash", slot=-1)
-        for slot in self.cluster.worker_slots(worker):
-            active = self._active.pop(slot, None)
-            if active is not None:
-                active.event.cancel()
-                if active.spec_event is not None:
-                    active.spec_event.cancel()
-                if active.span_id:
-                    self._emit_task_span(active, outcome="crashed")
-                if active.copy_of >= 0:
-                    partner = self._active.get(active.copy_of)
-                    if partner is not None:
-                        partner.copy_slot = -1
-                elif active.copy_slot >= 0 and active.copy_slot in self._active:
-                    self._active[active.copy_slot].copy_of = -1
-                else:
-                    self._pending.append(active.base)
-            entry = self._retries.pop(slot, None)
-            if entry is not None:
-                entry[0].cancel()
-                self._pending.append(entry[1])
-            try:
-                self._free_slots.remove(slot)
-            except ValueError:
-                pass
-        self._dispatch_pending()
-
-    def on_worker_repair(self, worker: int) -> None:
-        """Return a repaired worker's slots to the free pool and continue."""
-        if not self.running:
-            return
-        for slot in self.cluster.worker_slots(worker):
-            if (
-                slot not in self._active
-                and slot not in self._retries
-                and slot not in self._free_slots
-            ):
-                self._free_slots.append(slot)
-        self._dispatch_pending()
-
-    def _finish(self) -> None:
-        now = self.sim.now
-        self._accumulate_sprint(now)
-        self.completed = True
-        self.completion_time = now
-        self.on_complete(self)
+        self._emit_fault_span("speculate", slot=slot)

@@ -11,9 +11,15 @@ import pytest
 
 from repro.core.dias import DiASSimulation
 from repro.core.policies import SchedulingPolicy
+from repro.dag.execution import DagExecution
 from repro.dag.simulation import DagSimulation
 from repro.engine.cluster import Cluster
+from repro.engine.execution import JobExecution, build_phases
+from repro.faults.injector import FaultInjector
+from repro.faults.spec import parse_fault_spec
 from repro.fleet.simulation import FleetSimulation
+from repro.simulation.des import Simulator
+from repro.simulation.random_streams import RandomStreams
 from repro.telemetry import RingBufferSink, TelemetryHub
 from repro.workloads.scenarios import (
     FleetScenario,
@@ -161,3 +167,21 @@ def test_retry_attempt_is_the_attempt_the_retry_runs(run):
             retries += 1
     assert retries > 0
     assert max(failed.values()) > 1
+
+
+def test_fault_injection_requires_a_give_up_hook():
+    # A task that exhausts its retries escalates to the controller; without
+    # a hook there is nowhere to escalate, so both engines refuse up front.
+    sim = Simulator()
+    cluster = reference_two_priority_scenario().cluster
+    faults = FaultInjector(
+        parse_fault_spec("taskfail:p=0.5,retries=0"), sim, cluster, RandomStreams(seed=0)
+    )
+    job = reference_two_priority_scenario().generate_trace(seed=0, num_jobs=1)[0]
+    with pytest.raises(ValueError, match="on_give_up"):
+        JobExecution(
+            sim, cluster, job, build_phases(job), on_complete=lambda e: None, faults=faults
+        )
+    dag_job = dag_fork_join_scenario(num_jobs=1).generate_trace(seed=0)[0]
+    with pytest.raises(ValueError, match="on_give_up"):
+        DagExecution(sim, cluster, dag_job, faults=faults)
