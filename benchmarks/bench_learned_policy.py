@@ -10,6 +10,9 @@ Two sections, recorded to ``benchmarks/results/BENCH_learned_policy.json``:
    (``benchmarks/_pr9_decisions.py``, monkeypatched verbatim onto the live
    classes) and **fails (exit 1) when the current path falls below 95% of
    the PR 9 baseline** — an unattached hook must stay effectively free.
+   The DAG run has span tracing on, with a sink that drops every event: a
+   hookless DAG run without telemetry computes its attempts in closed form
+   and never calls ``_fill_slots``, so it would time identical code.
 
 2. **Learned policies vs naive heuristics under common random numbers.**
    Trains the contextual bandits in their decision envs, then evaluates the
@@ -60,6 +63,7 @@ from repro.env import (  # noqa: E402
 )
 from repro.env.learn import summarise  # noqa: E402
 from repro.fleet.simulation import FleetSimulation  # noqa: E402
+from repro.telemetry import CallbackSink, TelemetryHub  # noqa: E402
 from repro.workloads import scenarios as scenario_module  # noqa: E402
 
 HOOK_OVERHEAD_MIN_RATIO = 0.95
@@ -79,6 +83,9 @@ def _best_of(repeats: int, run_once: Callable[[], float]) -> float:
 def _time_dag_run(num_jobs: int, seed: int) -> float:
     scenario = scenario_module.dag_layered_scenario(num_jobs=num_jobs)
     trace = scenario.generate_trace(seed=seed)
+    # Tracing keeps every dispatch on the per-task path through _fill_slots.
+    telemetry = TelemetryHub(tracing=True)
+    telemetry.add_sink(CallbackSink(lambda event: None))
     start = time.perf_counter()
     DagSimulation(
         policy=_policy(),
@@ -86,6 +93,7 @@ def _time_dag_run(num_jobs: int, seed: int) -> float:
         scheduler="critical_path_first",
         cluster=scenario.cluster,
         seed=seed,
+        telemetry=telemetry,
     ).run()
     return time.perf_counter() - start
 

@@ -16,7 +16,9 @@ physical plans and ML pipelines:
   choosing which ready stage gets free slots.
 * :mod:`repro.dag.execution` — :class:`DagExecution`, the frontier-driven
   engine running ready stages concurrently on the cluster's slots (on the
-  linear engine's slot machine: DVFS rescaling, eviction, fault recovery).
+  linear engine's slot machine: DVFS rescaling, eviction, fault recovery;
+  in closed form, one kernel event per attempt, when no faults, telemetry
+  or decision hook need per-task events).
 * :mod:`repro.dag.simulation` — :class:`DagSimulation`, DiAS (buffers,
   per-stage differential approximation, sprinting, energy) on DAG jobs.
 """

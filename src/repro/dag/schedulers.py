@@ -19,9 +19,13 @@ Implemented policies
 * :class:`WidestFirstScheduler` — serve the stage with the most pending
   tasks, maximising immediate slot occupancy.
 
-All schedulers are deterministic: candidates are presented in (ready-order,
-stage-index) order and every tie falls back to that order, so two runs with
-the same seed produce byte-identical traces.
+All schedulers are deterministic: candidates are presented in the job's
+topological order (stage-index order when every parent has a lower index
+than its children, as in all generated workloads), and every key ends in
+(ready order, stage index), which no two stages share.  So a choice never
+depends on the candidates' order, and two runs with the same seed produce
+byte-identical traces.  A scheduler is only consulted when at least two
+stages are dispatchable.
 """
 
 from __future__ import annotations

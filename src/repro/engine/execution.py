@@ -31,7 +31,10 @@ kernel event fires at the attempt's end (§4.2's ``⌈tasks/slots⌉`` waves are
 the analytic form of the same schedule).  Runs with a fault injector or with
 span tracing take the per-task path, which needs per-task identities (slots,
 retries, speculative copies, task spans).  Both paths produce the same
-completion times bit for bit.
+completion times bit for bit.  :class:`~repro.dag.execution.DagExecution`
+has a closed form of its own, which replays the stage frontier in the
+kernel's completion order; the per-task path here serves only its runs with
+faults, telemetry or a decision hook.
 """
 
 from __future__ import annotations

@@ -6,9 +6,11 @@ import pytest
 
 from repro.dag.execution import DagExecution
 from repro.dag.graph import DagJob, DagStage, StageDAG
+from repro.dag.schedulers import FifoStageScheduler
 from repro.engine.cluster import Cluster, ClusterConfig
 from repro.engine.profiles import JobClassProfile
 from repro.simulation.des import Simulator
+from repro.telemetry import CallbackSink, TelemetryHub
 from repro.workloads.scenarios import HIGH
 
 
@@ -153,6 +155,48 @@ def test_critical_path_first_beats_widest_on_crafted_dag():
         scheduler="widest_first",
     )
     assert cpf.completion_time <= widest.completion_time
+
+
+# -------------------------------------------------------------- frontier
+def _late_lower_index_job() -> DagJob:
+    # Stage 1 becomes ready at 1.0, after stage 2 (a source).
+    return make_job(
+        [stage(0, maps=(1.0,)), stage(1, parents=(0,), maps=(1.0, 1.0)), stage(2, maps=(3.0,) * 4)]
+    )
+
+
+def test_hook_sees_dispatchable_stages_in_topological_order():
+    seen = []
+
+    def hook(point):
+        seen.append((point.time, [run.index for run in point.candidates]))
+        return 0
+
+    run_execution(_late_lower_index_job(), slots=2, decision_hook=hook)
+    # The hook is asked even when a single stage is dispatchable.
+    assert seen[:3] == [(0.0, [0, 2]), (0.0, [2]), (1.0, [1, 2])]
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_scheduler_is_asked_only_when_stages_compete(traced):
+    class Counting(FifoStageScheduler):
+        def __init__(self):
+            self.candidates = []
+
+        def select(self, ready):
+            self.candidates.append(len(ready))
+            return super().select(ready)
+
+    scheduler = Counting()
+    kwargs = {}
+    if traced:
+        kwargs["telemetry"] = TelemetryHub(tracing=True)
+        kwargs["telemetry"].add_sink(CallbackSink(lambda event: None))
+    execution = run_execution(_late_lower_index_job(), slots=2, scheduler=scheduler, **kwargs)
+    assert execution._closed_form is not traced
+    # fifo serves stage 2 (ready first) before stage 1, whose last task ends at 8.0.
+    assert execution.completion_time == pytest.approx(8.0)
+    assert scheduler.candidates and min(scheduler.candidates) == 2
 
 
 # ------------------------------------------------------- dropping integration
