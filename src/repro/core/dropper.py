@@ -177,4 +177,5 @@ class TaskDropper:
         if keep <= 0:
             return []
         chosen = self._rng.choice(total, size=keep, replace=False)
-        return sorted(int(i) for i in chosen)
+        chosen.sort()
+        return chosen.tolist()

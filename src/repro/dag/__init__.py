@@ -17,8 +17,10 @@ physical plans and ML pipelines:
 * :mod:`repro.dag.execution` — :class:`DagExecution`, the frontier-driven
   engine running ready stages concurrently on the cluster's slots (on the
   linear engine's slot machine: DVFS rescaling, eviction, fault recovery;
-  in closed form, one kernel event per attempt, when no faults, telemetry
-  or decision hook need per-task events).
+  in closed form, on the loop linear attempts share, one kernel event per
+  attempt, when no faults, telemetry or decision hook need per-task
+  events).  Its per-stage state, :class:`StageRun`, lives in
+  :mod:`repro.engine.execution` and is re-exported here.
 * :mod:`repro.dag.simulation` — :class:`DagSimulation`, DiAS (buffers,
   per-stage differential approximation, sprinting, energy) on DAG jobs.
 """

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dag.graph import DagStage, StageDAG
+from repro.engine.execution import stage_phases
 from repro.engine.job import wave_time
 
 
@@ -35,9 +36,9 @@ def stage_duration(
 ) -> float:
     """Wave-scheduled makespan of one stage on ``slots`` slots.
 
-    Kept task durations may be passed explicitly (after dropping); the shuffle
-    counts only when the stage actually runs reduce tasks, matching
-    :func:`~repro.engine.execution.build_phases`.
+    Kept task durations may be passed explicitly (after dropping); the phases
+    are those :func:`~repro.engine.execution.stage_phases` lays out, so the
+    shuffle counts only when the stage actually runs reduce tasks.
     """
     if slots <= 0:
         raise ValueError("slots must be positive")
@@ -45,11 +46,9 @@ def stage_duration(
     reduces = (
         stage.reduce_task_times if reduce_durations is None else list(reduce_durations)
     )
-    total = wave_time(maps, slots)
-    if reduces:
-        if stage.shuffle_time > 0:
-            total += stage.shuffle_time
-        total += wave_time(reduces, slots)
+    total = 0.0
+    for _, durations, parallel in stage_phases(stage, maps, reduces):
+        total += wave_time(durations, slots) if parallel else sum(durations)
     return total
 
 

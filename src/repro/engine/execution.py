@@ -23,25 +23,25 @@ shuffle, and the reduce tasks.  Task phases run their tasks on the ``C``
 slots, which naturally produces the wave behaviour the paper's Section 4.2
 models (``⌈tasks/slots⌉`` waves when task times are similar).
 
-Between two interrupts a linear attempt's timeline is a fixed list schedule,
-so by default it is computed in closed form rather than one kernel event per
-task: a local min-heap of slot free times replays the tasks in dispatch order
-with the kernel's own ``now + duration / speed`` arithmetic, and a single
-kernel event fires at the attempt's end (§4.2's ``⌈tasks/slots⌉`` waves are
-the analytic form of the same schedule).  Runs with a fault injector or with
-span tracing take the per-task path, which needs per-task identities (slots,
-retries, speculative copies, task spans).  Both paths produce the same
-completion times bit for bit.  :class:`~repro.dag.execution.DagExecution`
-has a closed form of its own, which replays the stage frontier in the
-kernel's completion order; the per-task path here serves only its runs with
-faults, telemetry or a decision hook.
+Between two interrupts an attempt's timeline is a fixed list schedule, so by
+default both job shapes compute it in closed form, in one loop
+(:meth:`SlotExecution._run_closed_form`) over :class:`StageRun` objects; a
+linear job is a single run whose phases are its whole timeline.  Competing
+stages replay the kernel's ``(time, seq)`` completion order; a stage alone
+on the frontier runs as a list schedule on a min-heap of slot free times
+(§4.2's ``⌈tasks/slots⌉`` waves are the analytic form of that schedule).
+One kernel event fires at the attempt's end.  Runs with a fault injector or
+span tracing (and DAG runs with telemetry or a decision hook) take the
+per-task path, which needs per-task identities (slots, retries, speculative
+copies, task spans).  Both paths give the same completion times bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import heapify, heappop, heapreplace
+from heapq import heapify, heappop, heappush, heapreplace
+from itertools import chain
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.cluster import Cluster
@@ -63,10 +63,6 @@ class ExecutionPhase:
         if any(d < 0 for d in self.durations):
             raise ValueError("phase durations must be non-negative")
 
-    @property
-    def total_work(self) -> float:
-        return float(sum(self.durations))
-
 
 def kept_task_durations(
     durations: Sequence[float],
@@ -87,6 +83,20 @@ def kept_task_durations(
     return list(durations[: effective_task_count(len(durations), drop_ratio)])
 
 
+def stage_phases(
+    stage: Any, maps: List[float], reduces: List[float]
+) -> List[Tuple[str, List[float], bool]]:
+    """A stage's ``(name, durations, parallel)`` phases: maps, shuffle, reduces.
+
+    The (serial) shuffle runs only when the stage runs reduce tasks.
+    """
+    phases = [("map", maps, True)]
+    if stage.shuffle_time > 0 and reduces:
+        phases.append(("shuffle", [stage.shuffle_time], False))
+    phases.append(("reduce", reduces, True))
+    return phases
+
+
 def build_phases(
     job: Job,
     map_drop_ratio: float = 0.0,
@@ -96,38 +106,160 @@ def build_phases(
 ) -> List[ExecutionPhase]:
     """Build the execution phases of ``job`` under the given drop plan.
 
-    Each stage runs the tasks :func:`kept_task_durations` keeps.
+    The setup comes first; each stage then runs the tasks
+    :func:`kept_task_durations` keeps, in its non-empty :func:`stage_phases`.
     """
-    phases: List[ExecutionPhase] = [
-        ExecutionPhase(
-            name="setup",
-            stage_index=-1,
-            durations=[job.setup_time(map_drop_ratio)],
-            parallel=False,
-        )
-    ]
+    phases = [ExecutionPhase("setup", -1, [job.setup_time(map_drop_ratio)], parallel=False)]
     for stage in job.stages:
-        map_durations = kept_task_durations(
-            stage.map_task_times, stage, kept_map_indices, map_drop_ratio
-        )
-        reduce_durations = kept_task_durations(
+        maps = kept_task_durations(stage.map_task_times, stage, kept_map_indices, map_drop_ratio)
+        reduces = kept_task_durations(
             stage.reduce_task_times, stage, kept_reduce_indices, reduce_drop_ratio
         )
-        if map_durations:
-            phases.append(
-                ExecutionPhase("map", stage.index, map_durations, parallel=True)
-            )
-        if stage.shuffle_time > 0 and reduce_durations:
-            phases.append(
-                ExecutionPhase(
-                    "shuffle", stage.index, [stage.shuffle_time], parallel=False
-                )
-            )
-        if reduce_durations:
-            phases.append(
-                ExecutionPhase("reduce", stage.index, reduce_durations, parallel=True)
-            )
+        for name, durations, parallel in stage_phases(stage, maps, reduces):
+            if durations:
+                phases.append(ExecutionPhase(name, stage.index, durations, parallel))
     return phases
+
+
+class StageRun:
+    """Runtime state of one stage: phase pointer, pending tasks, bookkeeping.
+
+    A stage runs its phases in order, each a ``(durations, parallel)`` pair:
+    a parallel phase spreads its tasks over the free slots, a non-parallel
+    one (setup, shuffle) runs them one at a time.  A DAG stage's phases are
+    its map tasks, shuffle and reduce tasks; a linear job in closed form is
+    a single run whose phases are its whole :func:`build_phases` timeline.
+    The phase lists are not copied at construction and never changed.
+
+    Satisfies the :class:`~repro.dag.schedulers.StageRunView` protocol the
+    stage schedulers observe.
+    """
+
+    def __init__(self, phases: List[Tuple[List[float], bool]], stage: Any = None) -> None:
+        #: The DAG stage this run executes (``None`` for a linear job).
+        self.stage = stage
+        #: Stage index within the job's DAG (0 for a linear job).
+        self.index = 0 if stage is None else stage.index
+        self._phases = phases
+        self._phase_index = -1
+        self.pending: List[float] = []
+        self._parallel = True
+        self.active = 0
+        self.ready_seq = -1
+        self.unfinished_parents = 0 if stage is None else len(stage.parents)
+        self.done = False
+        self.rank = 0.0
+        #: Position in the job's topological order: the order in which the
+        #: dispatchable stages are presented to the scheduler or hook.
+        self.position = 0
+        # Undispatched work: summed on first use, then kept up to date while
+        # the stage competes for slots, the only time a scheduler reads it
+        # (a stage running alone in closed form leaves it as it was).
+        self._undispatched: Optional[float] = None
+        # Trace span of this stage (0 / unset while tracing is off); opened
+        # at activation, emitted when the stage finishes or is evicted.
+        self.span_id = 0
+        self.activated_at = 0.0
+
+    # ----------------------------------------------------- scheduler queries
+    @property
+    def ready(self) -> bool:
+        return self.ready_seq >= 0 and not self.done
+
+    @property
+    def pending_tasks(self) -> int:
+        return len(self.pending)
+
+    def remaining_work(self) -> float:
+        """Undispatched task work left in this stage (seconds)."""
+        if self._undispatched is None:
+            self._undispatched = sum(chain.from_iterable(d for d, _ in self._phases))
+        return self._undispatched
+
+    @property
+    def dispatchable(self) -> bool:
+        """Whether a free slot could serve a task of this stage right now."""
+        if not self.ready or not self.pending:
+            return False
+        return self._parallel or self.active == 0
+
+    # ------------------------------------------------------------ life cycle
+    def activate(self, ready_seq: int) -> None:
+        """All parents finished: enter the first non-empty phase."""
+        self.ready_seq = ready_seq
+        self.pending = list(self._next_phase())
+
+    def pop_task(self) -> float:
+        duration = self.pending.pop(0)
+        self._undispatched = self.remaining_work() - duration
+        self.active += 1
+        return duration
+
+    def requeue(self, duration: float) -> None:
+        """An in-flight task was lost: it is pending again."""
+        self.active -= 1
+        self.pending.append(duration)
+        self._undispatched = self.remaining_work() + duration
+
+    def task_finished(self) -> bool:
+        """One task completed; returns ``True`` when the whole stage is done."""
+        self.active -= 1
+        if self.pending or self.active > 0:
+            return False
+        self.pending = list(self._next_phase())
+        return self.done
+
+    def snapshot(self) -> tuple:
+        """The state a task dispatch or completion can change (see :meth:`restore`)."""
+        return (
+            self._phase_index,
+            list(self.pending),
+            self._parallel,
+            self.active,
+            self.ready_seq,
+            self.unfinished_parents,
+            self.done,
+            self._undispatched,
+        )
+
+    def restore(self, state: tuple) -> None:
+        """Return to a state taken by :meth:`snapshot`."""
+        (
+            self._phase_index,
+            pending,
+            self._parallel,
+            self.active,
+            self.ready_seq,
+            self.unfinished_parents,
+            self.done,
+            self._undispatched,
+        ) = state
+        self.pending = list(pending)
+
+    def _next_phase(self) -> List[float]:
+        """Enter the next non-empty phase; its durations (none left: done, ``[]``)."""
+        phases = self._phases
+        index = self._phase_index + 1
+        while index < len(phases):
+            durations, parallel = phases[index]
+            if durations:
+                self._phase_index = index
+                self._parallel = parallel
+                return durations
+            index += 1
+        self._phase_index = index
+        self.done = True
+        return []
+
+
+def _dispatchable(frontier: List[StageRun]) -> List[StageRun]:
+    """The frontier's stages a free slot could serve now, in frontier order.
+
+    :attr:`StageRun.dispatchable` for the stages the frontier holds (all of
+    them ready and unfinished), written out because it runs once per
+    dispatched task.
+    """
+    return [run for run in frontier if run.pending and (run._parallel or not run.active)]
 
 
 @dataclass
@@ -170,14 +302,24 @@ class SlotExecution:
     (:meth:`_task_finished`), where a task lost to a crash goes back
     (:meth:`_requeue`) and which span a task span hangs under
     (:meth:`_task_span_parent`).  It also defines the kernel callbacks
-    ``_make_task_callback`` and ``_make_retry_callback`` itself, so event
-    profilers attribute task events to the engine that ran them.
+    ``_make_task_callback``, ``_make_retry_callback`` and ``_on_end`` (the
+    closed form's end of attempt) itself, so event profilers attribute task
+    events to the engine that ran them.
 
     ``faults`` is an optional :class:`~repro.faults.injector.FaultInjector`
     and requires ``on_give_up``, which is called with the execution when a
     task exhausts its transient-failure retries (the controller escalates to
     a job-level re-execution).
+
+    For closed-form attempts (``_closed_form``) a subclass fills ``_runs``
+    with :class:`StageRun` objects and defines what the attempt's setup
+    releases (``_activate_sources``) and what a finished run releases
+    (``_stage_finished``); :meth:`_run_closed_form` does the rest.
     """
+
+    #: Duration of a setup task that holds no slot and precedes the source
+    #: stages (DAG jobs; a linear job's setup is its run's first phase).
+    _setup_time = 0.0
 
     def __init__(
         self,
@@ -222,6 +364,20 @@ class SlotExecution:
         self._speed = 1.0
         self._speed_since: Optional[float] = None
         self.sprinted_time = 0.0
+
+        #: Closed-form timeline: the stage runs, the ready, unfinished ones
+        #: in topological order (the *frontier*) and the count of runs made
+        #: ready so far, the state saved at the last interrupt (see
+        #: :meth:`_save`), the single pending end-of-attempt event, and the
+        #: kernel's executed-event count when the attempt started
+        #: (identifies the dispatching event).
+        self._closed_form = False
+        self._runs: Dict[int, StageRun] = {}
+        self._frontier: List[StageRun] = []
+        self._ready_counter = 0
+        self._saved: tuple = ()
+        self._end_event: Optional[Event] = None
+        self._start_stamp = -1
 
     # --------------------------------------------------------------- queries
     @property
@@ -270,18 +426,23 @@ class SlotExecution:
         self._speed = float(speed) if speed is not None else self.cluster.speed
         self._speed_since = self.sim.now
 
-    def _change_speed(self, speed: float) -> Optional[float]:
-        """Switch to ``speed``; returns the old speed if in-flight work must be rescaled."""
+    def _change_speed(self, speed: float) -> None:
+        """Switch to ``speed`` and rescale the in-flight work (a DVFS change)."""
         if speed <= 0:
             raise ValueError("speed must be positive")
         if not self.running:
             self._speed = float(speed)
             self._speed_since = self.sim.now
-            return None
+            return
         self._accumulate_sprint(self.sim.now)
         old_speed = self._speed
         self._speed = float(speed)
-        return None if old_speed == speed else old_speed
+        if old_speed == speed:
+            return
+        if self._closed_form:
+            self._replay_to_now(old_speed)
+        else:
+            self._rescale_tasks()
 
     def _rescale_tasks(self) -> None:
         """Reschedule every in-flight task to run its remaining work at the new speed."""
@@ -315,6 +476,9 @@ class SlotExecution:
         for entry in self._retries.values():
             entry[0].cancel()
         self._retries.clear()
+        if self._end_event is not None:
+            self._end_event.cancel()
+            self._end_event = None
         self.evicted = True
         return now - self.start_time
 
@@ -507,6 +671,188 @@ class SlotExecution:
                 self._free_slots.append(slot)
         self._fill_slots()
 
+    # ------------------------------------------------------ closed-form path
+    def _start_closed_form(self) -> None:
+        now = self.sim.now
+        self._start_stamp = self.sim.processed_events
+        heap: List[tuple] = []
+        if self._setup_time > 0:
+            # The setup task holds no slot, like the per-task path's.
+            heap.append((now + self._setup_time / self._speed, 0, None))
+        else:
+            self._activate_sources()
+            if not self._frontier:
+                self._finish()
+                return
+        # The setup task, if any, took sequence number 0.
+        state = (now, heap, len(heap), self.cluster.available_slots)
+        self._save(*state)
+        self._schedule_end(*state)
+
+    def _replay_to_now(self, old_speed: float) -> None:
+        """Replay from the last interrupt to now at ``old_speed``, rescale, rerun."""
+        now = self.sim.now
+        # Interrupts fire at priority 2, after every task completion of
+        # their instant (priority 1), so tasks finishing at ``now`` are
+        # done -- except inside the dispatching event itself (a sprint at
+        # dispatch), where no completion has fired yet.
+        limit = now
+        if self.sim.processed_events == self._start_stamp:
+            limit = math.nextafter(now, -math.inf)
+        _, heap, seq, free = self._run_closed_form(*self._restore(), old_speed, limit)
+        # The per-task path's rescaling, term for term.  Rounding can tie
+        # two finish times whose order the sequence numbers then decide,
+        # so the heap is rebuilt.
+        speed = self._speed
+        heap = [(now + max(0.0, f - now) * old_speed / speed, s, run) for f, s, run in heap]
+        heapify(heap)
+        self._end_event.cancel()
+        self._save(now, heap, seq, free)
+        self._schedule_end(now, heap, seq, free)
+
+    def _save(self, at: float, heap: List[tuple], seq: int, free: int) -> None:
+        """Save the in-flight state at an interrupt at time ``at``.
+
+        That is the heap of ``(finish time, seq, stage run)`` entries (``None``
+        for the setup task), the next sequence number, the free-slot count,
+        the frontier bookkeeping and every stage's state.
+        """
+        self._saved = (
+            at,
+            list(heap),
+            seq,
+            free,
+            self._ready_counter,
+            list(self._frontier),
+            [run.snapshot() for run in self._runs.values()],
+        )
+
+    def _restore(self) -> Tuple[float, List[tuple], int, int]:
+        """Return to the state saved at the last interrupt.
+
+        Returns that state's time, heap, next sequence number and free-slot
+        count.
+        """
+        at, heap, seq, free, counter, frontier, states = self._saved
+        self._ready_counter = counter
+        self._frontier = list(frontier)
+        for run, state in zip(self._runs.values(), states):
+            run.restore(state)
+        return at, list(heap), seq, free
+
+    def _schedule_end(self, at: float, heap: List[tuple], seq: int, free: int) -> None:
+        """Run the attempt to its end from the current state and schedule that end."""
+        end = self._run_closed_form(at, heap, seq, free, self._speed, math.inf)[0]
+        self._end_event = self.sim.schedule_at(end, self._on_end, priority=1)
+
+    def _run_closed_form(
+        self, at: float, heap: List[tuple], seq: int, free: int, speed: float, limit: float
+    ) -> Tuple[float, List[tuple], int, int]:
+        """Advance the state at time ``at`` through the completions due by ``limit``.
+
+        While stages compete, free slots are filled as the per-task path
+        fills them (without a hook), then completions are taken in the
+        kernel's ``(time, seq)`` order; each advances its stage (activating
+        children) before the freed slot is refilled at the completion time,
+        as in the per-task path's callbacks.  A stage alone on the frontier
+        and holding every busy slot runs in :meth:`_run_alone` instead.
+        Returns the state: its time (the attempt's end once every stage is
+        done), the heap, the next sequence number and the free-slot count.
+        """
+        frontier = self._frontier
+        while True:
+            if len(frontier) == 1 and frontier[0].active == len(heap):
+                run = frontier[0]
+                at, heap, seq, free = self._run_alone(run, at, heap, seq, free, speed, limit)
+                if not run.done or not frontier:
+                    return at, heap, seq, free
+                continue
+            while free:
+                eligible = _dispatchable(frontier)
+                if not eligible:
+                    break
+                run = eligible[0] if len(eligible) == 1 else self.scheduler.select(eligible)
+                heappush(heap, (at + run.pop_task() / speed, seq, run))
+                seq += 1
+                free -= 1
+            if not heap or heap[0][0] > limit:
+                return at, heap, seq, free
+            at, _, run = heappop(heap)
+            if run is None:
+                self._activate_sources()
+            else:
+                free += 1
+                if run.task_finished():
+                    self._stage_finished(run)
+            if not frontier:
+                return at, heap, seq, free
+
+    def _run_alone(
+        self,
+        run: StageRun,
+        at: float,
+        heap: List[tuple],
+        seq: int,
+        free: int,
+        speed: float,
+        limit: float,
+    ) -> Tuple[float, List[tuple], int, int]:
+        """Run a stage that is alone on the frontier as a list schedule.
+
+        Nothing else holds a slot and nothing else can become ready until
+        ``run`` finishes, so each completion hands its slot to the phase's
+        next task and a drained phase opens the next one at its last finish
+        time: a float min-heap of slot free times replaces the
+        ``(time, seq)`` loop (``heapify`` per wave, ``heapreplace`` per task,
+        ``max`` at the drain).  Returns the state as :meth:`_run_closed_form`
+        does, either stopped before a completion due after ``limit`` or with
+        the stage finished and its children released.
+        """
+        times = [entry[0] for entry in heap]
+        slots = free + len(times)  # Every busy slot is this stage's.
+        pending = run.pending
+        bounded = limit < math.inf
+        while True:
+            # Free slots take the phase's first tasks now, as in the
+            # per-task path; a non-parallel phase runs one task at a time.
+            if run._parallel:
+                width = min(slots - len(times), len(pending))
+            else:
+                width = 0 if times else 1
+            if width:
+                times += [at + d / speed for d in pending[:width]]
+                heapify(times)
+            # Each completion hands its slot to the phase's next task.
+            if bounded:
+                dispatched = width
+                while dispatched < len(pending) and times[0] <= limit:
+                    heapreplace(times, times[0] + pending[dispatched] / speed)
+                    dispatched += 1
+            else:
+                list_schedule(times, pending[width:], speed)
+                dispatched = len(pending)
+            seq += dispatched
+            end = max(times)
+            if dispatched < len(pending) or end > limit:
+                break
+            # The phase drained at its last finish time: open the next one.
+            at = end
+            times = []
+            pending = run._next_phase()
+            if run.done:
+                run.pending = pending
+                run.active = 0
+                self._stage_finished(run)
+                return at, [], seq, slots
+        # A completion is due after ``limit``: the ones due by then are done.
+        while times[0] <= limit:
+            heappop(times)
+        run.pending = pending[dispatched:]
+        run.active = len(times)
+        # Only ties between this stage's own tasks hang on these numbers.
+        first = seq - len(times)
+        return at, [(t, first + i, run) for i, t in enumerate(times)], seq, slots - len(times)
+
     # ------------------------------------------------------------------ spans
     def _emit_task_span(self, active: _ActiveTask, outcome: str = "completed") -> None:
         parent_id, stage = self._task_span_parent(active)
@@ -545,7 +891,12 @@ class SlotExecution:
 
 
 class JobExecution(SlotExecution):
-    """Executes one linear job's phases on the cluster within the simulator."""
+    """Executes one linear job's phases on the cluster within the simulator.
+
+    Without a fault injector or span tracing the attempt runs in closed form
+    as a single :class:`StageRun` whose phases are ``phases``, setup first:
+    a chain of one stage, alone on the frontier from start to end.
+    """
 
     def __init__(
         self,
@@ -580,135 +931,44 @@ class JobExecution(SlotExecution):
         self._phase_index = -1
         self._pending: List[float] = []
 
-        #: Closed-form timeline (no faults, no tracing): the in-flight state
-        #: at the last interrupt as (phase index, min-heap of the running
-        #: tasks' finish times, index of the phase's next pending task), the
-        #: single pending end-of-attempt event, and the kernel's executed-event
-        #: count when the attempt started (identifies the dispatching event).
         self._closed_form = faults is None and not telemetry.tracing
-        self._segment: Tuple[int, List[float], int] = (0, [], 0)
-        self._end_event: Optional[Event] = None
-        self._start_stamp = -1
-
-    @property
-    def current_phase(self) -> Optional[ExecutionPhase]:
-        index = self._phase_index
-        if self._closed_form and self.running:
-            index = self._state_at(self.sim.now, self._speed, True)[0]
-        if 0 <= index < len(self.phases):
-            return self.phases[index]
-        return None
+        if self._closed_form:
+            self._runs[0] = StageRun([(p.durations, p.parallel) for p in self.phases])
 
     # ---------------------------------------------------------------- control
     def start(self, speed: Optional[float] = None) -> None:
         """Begin executing the job at the current simulation time."""
         self._begin(speed)
-        if not self._closed_form:
-            self._advance_phase()
-            return
-        self._start_stamp = self.sim.processed_events
-        self._segment = self._open_phase(0, self.sim.now, self._speed)
-        if self._segment[1]:
-            self._schedule_end()
+        if self._closed_form:
+            self._start_closed_form()
         else:
-            self._finish()
+            self._advance_phase()
 
     def set_speed(self, speed: float) -> None:
         """Apply a cluster-wide speed change (DVFS) to all in-flight tasks."""
-        old_speed = self._change_speed(speed)
-        if old_speed is None:
-            return
-        if not self._closed_form:
-            self._rescale_tasks()
-            return
-        now = self.sim.now
-        # Interrupts fire at priority 2, after every task completion of
-        # their instant (priority 1), so tasks finishing at ``now`` are
-        # done -- except inside the dispatching event itself (a sprint at
-        # dispatch), where no completion has fired yet.
-        in_dispatch = self.sim.processed_events == self._start_stamp
-        index, heap, next_task = self._state_at(now, old_speed, not in_dispatch)
-        # The per-task path's rescaling, term for term; the map is
-        # monotone, so the heap stays a heap.
-        speed = self._speed
-        heap = [now + max(0.0, f - now) * old_speed / speed for f in heap]
-        self._segment = (index, heap, next_task)
-        self._end_event.cancel()
-        self._schedule_end()
+        self._change_speed(speed)
 
     def evict(self) -> float:
         """Cancel all in-flight work; returns the wasted wall time of the attempt."""
         wasted = self._evict_tasks()
-        if self._end_event is not None:
-            self._end_event.cancel()
-            self._end_event = None
         if self._phase_span is not None:
             self._close_phase_span(outcome="evicted")
         self._pending.clear()
         return wasted
 
-    # ------------------------------------------------------ closed-form path
-    def _open_phase(
-        self, index: int, at: float, speed: float
-    ) -> Tuple[int, List[float], int]:
-        """Dispatch the first non-empty phase from ``index`` on at time ``at``.
-
-        Returns the phase's in-flight state; an empty heap means the attempt
-        has no phase left.  A parallel phase fills up to ``C`` slots, a
-        non-parallel one (setup, shuffle) runs its tasks one at a time.
-        """
-        phases = self.phases
-        while index < len(phases):
-            phase = phases[index]
-            durations = phase.durations
-            if durations:
-                width = min(self.cluster.slots, len(durations)) if phase.parallel else 1
-                heap = [at + d / speed for d in durations[:width]]
-                heapify(heap)
-                return index, heap, width
-            index += 1
-        return index, [], 0
-
-    def _schedule_end(self) -> None:
-        """Run the current segment forward and schedule the attempt's end."""
-        index, heap, next_task = self._segment
-        heap = list(heap)
-        speed = self._speed
-        end = self.sim.now
-        while heap:
-            end = max(list_schedule(heap, self.phases[index].durations[next_task:], speed))
-            index, heap, next_task = self._open_phase(index + 1, end, speed)
-        self._end_event = self.sim.schedule_at(end, self._on_end, priority=1)
-
-    def _state_at(
-        self, now: float, speed: float, inclusive: bool
-    ) -> Tuple[int, List[float], int]:
-        """Replay the current segment at ``speed`` up to ``now``.
-
-        Tasks finishing before ``now`` -- or at ``now`` when ``inclusive`` --
-        complete and hand their slot to the phase's next pending task; a
-        drained phase opens the next one at its last finish time.  Returns
-        the in-flight state at ``now`` (the segment itself is not changed).
-        """
-        index, heap, next_task = self._segment
-        heap = list(heap)
-        limit = now if inclusive else math.nextafter(now, -math.inf)
-        durations = self.phases[index].durations
-        while heap and heap[0] <= limit:
-            if next_task < len(durations):
-                heapreplace(heap, heap[0] + durations[next_task] / speed)
-                next_task += 1
-                continue
-            last = heappop(heap)
-            if not heap:
-                index, heap, next_task = self._open_phase(index + 1, last, speed)
-                if heap:
-                    durations = self.phases[index].durations
-        return index, heap, next_task
-
     def _on_end(self, _sim: Simulator) -> None:
         self._end_event = None
         self._finish()
+
+    # ------------------------------------------------------ closed-form path
+    def _activate_sources(self) -> None:
+        run = self._runs[0]
+        run.activate(0)
+        if not run.done:
+            self._frontier.append(run)
+
+    def _stage_finished(self, run: StageRun) -> None:
+        self._frontier.remove(run)
 
     # --------------------------------------------------------- per-task path
     def _make_task_callback(self, slot: int) -> Callable[[Simulator], None]:

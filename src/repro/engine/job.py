@@ -107,9 +107,9 @@ class Job:
         for stage in self.stages:
             kept_maps = effective_task_count(stage.num_map_tasks, drop_ratio if stage.droppable else 0.0)
             map_times = sorted(stage.map_task_times, reverse=True)[:kept_maps]
-            total += _wave_time(map_times, slots)
+            total += wave_time(map_times, slots)
             total += stage.shuffle_time
-            total += _wave_time(stage.reduce_task_times, slots)
+            total += wave_time(stage.reduce_task_times, slots)
         return total
 
 
@@ -147,10 +147,6 @@ def wave_time(durations: Sequence[float], slots: int) -> float:
         return 0.0
     free_at = [0.0] * min(slots, len(durations))
     return max(list_schedule(free_at, sorted(durations, reverse=True)))
-
-
-#: Backwards-compatible private alias (the DAG analytics use the public name).
-_wave_time = wave_time
 
 
 class JobFactory:

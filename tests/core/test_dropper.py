@@ -66,6 +66,18 @@ def test_kept_indices_are_valid_and_unique():
     assert kept == sorted(kept)
 
 
+@pytest.mark.parametrize("total, keep", [(2, 1), (7, 3), (40, 32), (100, 80), (500, 1)])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_selection_matches_sorted_python_ints_from_the_same_draws(total, keep, seed):
+    # The selection sorts the drawn array in place; it must equal sorting the
+    # same draw as Python ints, element types included.
+    kept = TaskDropper(np.random.default_rng(seed))._select(total, keep)
+    chosen = np.random.default_rng(seed).choice(total, size=keep, replace=False)
+    reference = sorted(int(i) for i in chosen)
+    assert kept == reference
+    assert all(type(i) is int for i in kept)
+
+
 def test_random_selection_varies_with_rng():
     job = make_job(partitions=30)
     plan_a = TaskDropper(np.random.default_rng(1)).plan(job, 0.5, 0.0)

@@ -337,23 +337,3 @@ def test_non_parallel_and_empty_phases():
     _both(spec, 2, [])
     _both(spec, 2, [(3.1, 2, lambda e: e.set_speed(3.0))])
     _both([("setup", [], False), ("map", [], True)], 2, [])
-
-
-def test_current_phase_follows_the_replayed_timeline():
-    def phases_seen(execution_cls):
-        sim = Simulator()
-        cluster = Cluster(ClusterConfig(workers=1, cores_per_worker=3))
-        execution = execution_cls(sim, cluster, _job(), _phases(WAVES),
-                                  on_complete=lambda e: None)
-        seen = []
-        # Setup ends at 2.0, the map wave at 7.8, the shuffle at 9.3.
-        for instant in (0.5, 2.0, 2.5, 7.8, 8.0, 9.5):
-            sim.schedule_at(instant, lambda _s: seen.append(execution.current_phase.name),
-                            priority=2)
-        execution.start()
-        sim.run()
-        return seen
-
-    expected = ["setup", "map", "map", "shuffle", "shuffle", "reduce"]
-    assert phases_seen(JobExecution) == expected
-    assert phases_seen(_PerTaskExecution) == expected

@@ -206,8 +206,12 @@ Action = Tuple[float, int, Callable[[DagExecution], object]]
 
 
 def _drive(job, per_task, slots, actions: List[Action], scheduler="fifo",
-           start_speed=1.0, at_dispatch=None, **kwargs):
-    """Run one execution with interrupts; returns its observable outcome."""
+           start_speed=1.0, at_dispatch=None, run_phases=None, **kwargs):
+    """Run one execution with interrupts; returns its observable outcome.
+
+    ``run_phases`` maps stage indices to ``(durations, parallel)`` phase
+    lists that replace those stages' own phases.
+    """
     sim = Simulator()
     cluster = Cluster(ClusterConfig(workers=1, cores_per_worker=slots))
     log = []
@@ -216,6 +220,8 @@ def _drive(job, per_task, slots, actions: List[Action], scheduler="fifo",
                              on_complete=lambda e: log.append(("done", sim.now)),
                              **hub, **kwargs)
     assert execution._closed_form is not per_task
+    for index, phases in (run_phases or {}).items():
+        execution._runs[index]._phases = phases
 
     def dispatch(_sim):
         execution.start(speed=start_speed)
@@ -357,3 +363,102 @@ def test_eviction_during_setup_and_mid_frontier():
     _both(_diamond, 3, [(3.2, 0, lambda e: e.evict())])
     _both(_diamond, 3, [(2.0, 0, lambda e: e.evict())])
     _both(_diamond, 3, [(2.5, 2, lambda e: e.set_speed(2.0)), (3.0, 2, lambda e: e.evict())])
+
+
+# ------------------------------------------------------ lone-stage stretch
+def test_matrix_runs_the_lone_stage_stretch_and_the_competing_loop(monkeypatch):
+    """Guard the matrix: its cells take both halves of the closed-form loop.
+
+    A stage alone on the frontier runs as a list schedule in ``_run_alone``;
+    stages that compete take one ``pop_task`` per dispatch.  Sprints must
+    also stop a stretch midway (a ``set_speed`` replay inside it).
+    """
+    from repro.engine.execution import SlotExecution, StageRun
+
+    stretches: Counter = Counter()
+    run_alone = SlotExecution._run_alone
+    pop_task = StageRun.pop_task
+
+    def counted_run_alone(self, run, *args):
+        state = run_alone(self, run, *args)
+        stretches["finished" if run.done else "stopped"] += 1
+        return state
+
+    def counted_pop_task(self):
+        stretches["competing"] += 1
+        return pop_task(self)
+
+    monkeypatch.setattr(SlotExecution, "_run_alone", counted_run_alone)
+    monkeypatch.setattr(StageRun, "pop_task", counted_pop_task)
+    for name in ("layered", "triangle-count"):
+        scenario = SCENARIOS[name]()
+        policy = next(p for p in _policies(scenario) if p.name == "DiAS-limited")
+        stretches.clear()
+        _run(scenario, policy, "fifo", 0, False)
+        assert stretches["finished"] > 0, name
+        if name == "layered":
+            assert stretches["competing"] > 0
+        else:
+            # Triangle counting is a chain: every stage runs alone.
+            assert stretches["competing"] == 0
+            assert stretches["stopped"] > 0
+
+
+def test_speed_change_inside_a_stretch_with_a_non_parallel_multi_task_phase():
+    # Stage 1 runs alone from 1.0 on; its middle phase runs three tasks one
+    # at a time while the other slots idle.
+    job = lambda: _job([_stage(0, maps=(1.0,)), _stage(1, (0,), maps=(1.0,))])
+    phases = {1: [([0.5, 0.7, 0.3], True), ([0.4, 0.9, 0.2], False), ([1.1, 0.6], True)]}
+    for instant in (1.5, 1.7, 2.1, 2.4, 2.5, 3.0, 3.3, 3.5):
+        _both(job, 3, [(instant, 2, lambda e: e.set_speed(1.7))], run_phases=phases)
+    _both(job, 3, [(1.9, 2, lambda e: e.set_speed(1.3)), (2.6, 2, lambda e: e.set_speed(0.7))],
+          run_phases=phases)
+
+
+def test_stage_left_alone_mid_phase_with_free_slots():
+    # Stages 0 and 1 compete from the start; when the narrow one finishes,
+    # the wide one is alone with free slots: mid-map (a freed slot takes a
+    # pending task) or mid-shuffle (the freed slots idle until the reduces).
+    def job(shuffle):
+        return lambda: _job([
+            _stage(0, maps=(2.0, 1.3, 0.6, 0.9, 1.7, 0.4), reduces=(0.8, 1.2, 0.5),
+                   shuffle=shuffle),
+            _stage(1, maps=(0.5, 2.6)),
+            _stage(2, (0, 1), maps=(1.0,)),
+        ])
+
+    for shuffle in (0.0, 1.5):
+        _both(job(shuffle), 3, [])
+        for instant in (0.5, 1.2, 2.6, 3.1, 4.0, 4.6):
+            _both(job(shuffle), 3, [(instant, 2, lambda e: e.set_speed(1.9))])
+
+
+def test_zero_duration_tasks_at_a_stretch_boundary():
+    # The lone stage's last wave ends at the instant its children start:
+    # zero-duration tasks close one stretch and open the competing loop, or
+    # open a lone stage at the instant its parent finished.
+    def job():
+        built = _job([
+            _stage(0, maps=(1.0, 1.0, 1.0)),
+            _stage(1, (0,), maps=(1.0, 1.0)),
+            _stage(2, (0,), maps=(1.0,)),
+            _stage(3, (1, 2), maps=(1.0, 1.0, 1.0)),
+        ])
+        return _zeroed(built, {0: [1, 2], 2: [0], 3: [0, 1]})
+
+    _both(job, 2, [])
+    _both(job, 2, [], at_dispatch=lambda e: e.set_speed(1.9))
+    for instant in (0.0, 1.0, 2.0, 3.0):
+        _both(job, 2, [(instant, 2, lambda e: e.set_speed(1.7))])
+
+
+def test_sprint_inside_the_dispatching_event_of_a_lone_stage():
+    # A single stage is alone from the dispatch on; the sprint replays the
+    # stretch to just before the dispatch instant, so the zero-duration
+    # tasks are still in flight and their slots' next tasks start sprinted.
+    job = lambda: _zeroed(_job([_stage(0, maps=(0.3, 0.3, 2.9, 0.7, 1.1),
+                                       reduces=(0.6, 0.2), shuffle=0.4)]), {0: [0, 1]})
+    for slots in (1, 2, 3):
+        _both(job, slots, [], at_dispatch=lambda e: e.set_speed(1.9))
+        _both(job, slots, [(0.0, 2, lambda e: e.set_speed(1.1))], start_speed=1.3,
+              at_dispatch=lambda e: e.set_speed(1.9))
