@@ -64,9 +64,10 @@ class DagExecution(SlotExecution):
     calls in the kernel's completion order; a stage alone on the frontier
     runs as a list schedule.  Both use the kernel's ``now + d / speed``
     arithmetic, and a single kernel event fires at the attempt's end.
-    :meth:`set_speed` returns to the state saved at the previous interrupt,
-    replays it to ``now`` at the old speed, rescales the in-flight tasks as
-    the per-task path does and runs the rest of the attempt again.  Replays
+    :meth:`set_speed` returns to the state saved at the previous interrupt
+    (the attempt's start, before the first), replays it to ``now`` at the
+    old speed, rescales the in-flight tasks as the per-task path does and
+    runs the rest of the attempt again.  Replays
     call ``select`` again, so the closed form needs a scheduler whose
     choice depends only on the candidates (the built-in ones are).  Every
     other run takes one kernel event per task.

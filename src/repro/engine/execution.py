@@ -45,7 +45,7 @@ from itertools import chain
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.cluster import Cluster
-from repro.engine.job import Job, effective_task_count, list_schedule
+from repro.engine.job import Job, effective_task_count
 from repro.simulation.des import Event, Simulator
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
 
@@ -141,25 +141,15 @@ class StageRun:
         #: Stage index within the job's DAG (0 for a linear job).
         self.index = 0 if stage is None else stage.index
         self._phases = phases
-        self._phase_index = -1
-        self.pending: List[float] = []
-        self._parallel = True
-        self.active = 0
-        self.ready_seq = -1
-        self.unfinished_parents = 0 if stage is None else len(stage.parents)
-        self.done = False
         self.rank = 0.0
         #: Position in the job's topological order: the order in which the
         #: dispatchable stages are presented to the scheduler or hook.
         self.position = 0
-        # Undispatched work: summed on first use, then kept up to date while
-        # the stage competes for slots, the only time a scheduler reads it
-        # (a stage running alone in closed form leaves it as it was).
-        self._undispatched: Optional[float] = None
         # Trace span of this stage (0 / unset while tracing is off); opened
         # at activation, emitted when the stage finishes or is evicted.
         self.span_id = 0
         self.activated_at = 0.0
+        self.reset()
 
     # ----------------------------------------------------- scheduler queries
     @property
@@ -171,9 +161,13 @@ class StageRun:
         return len(self.pending)
 
     def remaining_work(self) -> float:
-        """Undispatched task work left in this stage (seconds)."""
+        """Undispatched task work left in this stage (seconds).
+
+        Summed from the stage's state when unknown, then kept task by task.
+        """
         if self._undispatched is None:
-            self._undispatched = sum(chain.from_iterable(d for d, _ in self._phases))
+            later = self._phases[self._phase_index + 1 :]
+            self._undispatched = sum(chain(self.pending, *(d for d, _ in later)))
         return self._undispatched
 
     @property
@@ -190,16 +184,17 @@ class StageRun:
         self.pending = list(self._next_phase())
 
     def pop_task(self) -> float:
+        remaining = self.remaining_work()
         duration = self.pending.pop(0)
-        self._undispatched = self.remaining_work() - duration
+        self._undispatched = remaining - duration
         self.active += 1
         return duration
 
     def requeue(self, duration: float) -> None:
         """An in-flight task was lost: it is pending again."""
+        self._undispatched = self.remaining_work() + duration
         self.active -= 1
         self.pending.append(duration)
-        self._undispatched = self.remaining_work() + duration
 
     def task_finished(self) -> bool:
         """One task completed; returns ``True`` when the whole stage is done."""
@@ -208,6 +203,12 @@ class StageRun:
             return False
         self.pending = list(self._next_phase())
         return self.done
+
+    def reset(self) -> None:
+        """Return to the state before activation, undispatched work unknown."""
+        self.restore(
+            (-1, (), True, 0, -1, 0 if self.stage is None else len(self.stage.parents), False, None)
+        )
 
     def snapshot(self) -> tuple:
         """The state a task dispatch or completion can change (see :meth:`restore`)."""
@@ -368,9 +369,9 @@ class SlotExecution:
         #: Closed-form timeline: the stage runs, the ready, unfinished ones
         #: in topological order (the *frontier*) and the count of runs made
         #: ready so far, the state saved at the last interrupt (see
-        #: :meth:`_save`), the single pending end-of-attempt event, and the
-        #: kernel's executed-event count when the attempt started
-        #: (identifies the dispatching event).
+        #: :meth:`_save`; empty before the first), the single pending
+        #: end-of-attempt event, and the kernel's executed-event count when
+        #: the attempt started (identifies the dispatching event).
         self._closed_form = False
         self._runs: Dict[int, StageRun] = {}
         self._frontier: List[StageRun] = []
@@ -673,21 +674,27 @@ class SlotExecution:
 
     # ------------------------------------------------------ closed-form path
     def _start_closed_form(self) -> None:
-        now = self.sim.now
         self._start_stamp = self.sim.processed_events
+        state = self._attempt_start(self._speed)
+        if state[1] or self._frontier:
+            self._schedule_end(*state)
+        else:
+            self._finish()
+
+    def _attempt_start(self, speed: float) -> Tuple[float, List[tuple], int, int]:
+        """Enter the attempt's start, begun at ``speed``, from fresh runs.
+
+        The setup task, if any, is in flight (holding no slot, like the
+        per-task path's, with sequence number 0), else the sources are ready.
+        With no fault injector no worker is down: every slot is free.
+        """
+        at = self.start_time
         heap: List[tuple] = []
         if self._setup_time > 0:
-            # The setup task holds no slot, like the per-task path's.
-            heap.append((now + self._setup_time / self._speed, 0, None))
+            heap.append((at + self._setup_time / speed, 0, None))
         else:
             self._activate_sources()
-            if not self._frontier:
-                self._finish()
-                return
-        # The setup task, if any, took sequence number 0.
-        state = (now, heap, len(heap), self.cluster.available_slots)
-        self._save(*state)
-        self._schedule_end(*state)
+        return at, heap, len(heap), self.cluster.available_slots
 
     def _replay_to_now(self, old_speed: float) -> None:
         """Replay from the last interrupt to now at ``old_speed``, rescale, rerun."""
@@ -699,7 +706,7 @@ class SlotExecution:
         limit = now
         if self.sim.processed_events == self._start_stamp:
             limit = math.nextafter(now, -math.inf)
-        _, heap, seq, free = self._run_closed_form(*self._restore(), old_speed, limit)
+        _, heap, seq, free = self._run_closed_form(*self._restore(old_speed), old_speed, limit)
         # The per-task path's rescaling, term for term.  Rounding can tie
         # two finish times whose order the sequence numbers then decide,
         # so the heap is rebuilt.
@@ -727,12 +734,19 @@ class SlotExecution:
             [run.snapshot() for run in self._runs.values()],
         )
 
-    def _restore(self) -> Tuple[float, List[tuple], int, int]:
+    def _restore(self, speed: float) -> Tuple[float, List[tuple], int, int]:
         """Return to the state saved at the last interrupt.
 
-        Returns that state's time, heap, next sequence number and free-slot
-        count.
+        Before the first interrupt nothing is saved: the runs are reset and
+        the attempt's start, begun at ``speed``, is entered again.  Returns
+        the state's time, heap, next sequence number and free-slot count.
         """
+        if not self._saved:
+            for run in self._runs.values():
+                run.reset()
+            self._ready_counter = 0
+            self._frontier = []
+            return self._attempt_start(speed)
         at, heap, seq, free, counter, frontier, states = self._saved
         self._ready_counter = counter
         self._frontier = list(frontier)
@@ -811,7 +825,10 @@ class SlotExecution:
         times = [entry[0] for entry in heap]
         slots = free + len(times)  # Every busy slot is this stage's.
         pending = run.pending
-        bounded = limit < math.inf
+        # The stretch does not keep the undispatched-work sum, so a reader
+        # would sum it afresh.  No scheduler reads it: nothing else becomes
+        # ready before a lone stage finishes, so it never competes again.
+        run._undispatched = None
         while True:
             # Free slots take the phase's first tasks now, as in the
             # per-task path; a non-parallel phase runs one task at a time.
@@ -822,15 +839,14 @@ class SlotExecution:
             if width:
                 times += [at + d / speed for d in pending[:width]]
                 heapify(times)
-            # Each completion hands its slot to the phase's next task.
-            if bounded:
-                dispatched = width
-                while dispatched < len(pending) and times[0] <= limit:
-                    heapreplace(times, times[0] + pending[dispatched] / speed)
-                    dispatched += 1
-            else:
-                list_schedule(times, pending[width:], speed)
-                dispatched = len(pending)
+            # Each completion due by ``limit`` hands its slot to the phase's
+            # next task.
+            dispatched = width
+            for duration in pending[width:]:
+                if times[0] > limit:
+                    break
+                heapreplace(times, times[0] + duration / speed)
+                dispatched += 1
             seq += dispatched
             end = max(times)
             if dispatched < len(pending) or end > limit:

@@ -462,3 +462,20 @@ def test_sprint_inside_the_dispatching_event_of_a_lone_stage():
         _both(job, slots, [], at_dispatch=lambda e: e.set_speed(1.9))
         _both(job, slots, [(0.0, 2, lambda e: e.set_speed(1.1))], start_speed=1.3,
               at_dispatch=lambda e: e.set_speed(1.9))
+
+
+def test_a_stage_stopped_in_a_stretch_sums_the_work_it_has_left():
+    # Stage 1 dispatches two maps while stage 0 competes, then runs alone
+    # from 0.5 on.  The stretch does not keep its undispatched-work sum;
+    # asked after a stretch stopped at a replay limit, it sums it afresh.
+    sim = Simulator()
+    cluster = Cluster(ClusterConfig(workers=1, cores_per_worker=3))
+    job = _job([_stage(0, maps=(0.5,)), _stage(1, maps=(1.0,) * 5, reduces=(2.0,)),
+                _stage(2, (0, 1))])
+    execution = DagExecution(sim, cluster, job)
+    execution.start()
+    run = execution._runs[1]
+    assert run.done and run.remaining_work() == 0.0
+    execution._run_closed_form(*execution._restore(1.0), 1.0, 0.7)
+    assert (run.pending, run.active) == ([1.0, 1.0], 3)
+    assert run.remaining_work() == 1.0 + 1.0 + 2.0
